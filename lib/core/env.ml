@@ -3,6 +3,26 @@ type thread = {
   t_gate : Runtime.Gate.t;
 }
 
+(* Census state: a live-object table over Env.alloc traffic (both
+   pools), per-object birth cycles, and per-(AllocId, pool) live
+   counters kept current on every tracked alloc/free/realloc so a
+   snapshot never walks the heap.  Created by [track_census] only, so
+   untracked runs allocate and maintain none of it. *)
+type census_cell = {
+  label : string; (* printed AllocId, formatted at the cell's first allocation *)
+  mutable live_bytes : int;
+  mutable live_objects : int;
+}
+
+module Site_tbl = Hashtbl.Make (Runtime.Alloc_id)
+
+type census_state = {
+  meta : Runtime.Metadata.t;
+  births : (int, int) Hashtbl.t; (* addr -> birth cycle *)
+  mt_sites : census_cell Site_tbl.t;
+  mu_sites : census_cell Site_tbl.t;
+}
+
 type t = {
   config : Config.t;
   machine : Sim.Machine.t;
@@ -17,11 +37,7 @@ type t = {
   mutable sites_moved : int;
   mutable t_heap_bytes_mt : int; (* Env.alloc traffic kept in MT *)
   mutable t_heap_bytes_mu : int; (* Env.alloc traffic moved to MU *)
-  (* Census state: a live-object table over Env.alloc traffic (both
-     pools) plus per-object birth cycles, maintained only once
-     [track_census] has been called so untracked runs pay nothing. *)
-  mutable census_meta : Runtime.Metadata.t option;
-  census_births : (int, int) Hashtbl.t; (* addr -> birth cycle *)
+  mutable census : census_state option;
 }
 
 let create ?profile ?backing config =
@@ -87,8 +103,7 @@ let create ?profile ?backing config =
         sites_moved = 0;
         t_heap_bytes_mt = 0;
         t_heap_bytes_mu = 0;
-        census_meta = None;
-        census_births = Hashtbl.create 64;
+        census = None;
       }
 
 let config t = t.config
@@ -150,6 +165,38 @@ let site_overridden t site =
   Allocators.Pkalloc.quarantined_count t.pkalloc > 0
   && Allocators.Pkalloc.site_quarantined t.pkalloc (Runtime.Alloc_id.to_string site)
 
+(* --- census bookkeeping --- *)
+
+(* The per-site cells of the pool owning [addr] (a realloc never changes
+   pools, so this is also the pool of the object's whole life). *)
+let census_sites t c addr =
+  match Allocators.Pkalloc.pool_of_addr t.pkalloc addr with
+  | Some `Untrusted -> c.mu_sites
+  | Some `Trusted | None -> c.mt_sites
+
+let census_drop sites (r : Runtime.Metadata.record) =
+  let cell = Site_tbl.find sites r.Runtime.Metadata.alloc_id in
+  cell.live_bytes <- cell.live_bytes - r.Runtime.Metadata.size;
+  cell.live_objects <- cell.live_objects - 1
+
+(* Uncounts the record based at [addr], if any — the one the following
+   Metadata update removes or replaces.  A replaced record is left
+   behind by a free that bypassed [dealloc]. *)
+let census_forget c sites addr =
+  Option.iter (census_drop sites) (Runtime.Metadata.find c.meta addr)
+
+let census_add sites site size =
+  let cell =
+    match Site_tbl.find_opt sites site with
+    | Some cell -> cell
+    | None ->
+      let cell = { label = Runtime.Alloc_id.to_string site; live_bytes = 0; live_objects = 0 } in
+      Site_tbl.add sites site cell;
+      cell
+  in
+  cell.live_bytes <- cell.live_bytes + size;
+  cell.live_objects <- cell.live_objects + 1
+
 let alloc t ~site size =
   let moved =
     Config.split_heap t.config
@@ -172,10 +219,13 @@ let alloc t ~site size =
     (match t.mitigator with
     | Some m -> Runtime.Mitigator.log_alloc m ~alloc_id:site ~addr ~size
     | None -> ());
-    (match t.census_meta with
-    | Some meta ->
-      Runtime.Metadata.on_alloc meta ~addr ~size ~alloc_id:site;
-      Hashtbl.replace t.census_births addr (Sim.Machine.cycles t.machine)
+    (match t.census with
+    | Some c ->
+      let sites = if moved then c.mu_sites else c.mt_sites in
+      census_forget c sites addr;
+      census_add sites site size;
+      Runtime.Metadata.on_alloc c.meta ~addr ~size ~alloc_id:site;
+      Hashtbl.replace c.births addr (Sim.Machine.cycles t.machine)
     | None -> ());
     addr
 
@@ -186,10 +236,11 @@ let dealloc t addr =
   (match t.mitigator with
   | Some m -> Runtime.Mitigator.log_dealloc m ~addr
   | None -> ());
-  (match t.census_meta with
-  | Some meta ->
-    Runtime.Metadata.on_dealloc meta ~addr;
-    Hashtbl.remove t.census_births addr
+  (match t.census with
+  | Some c ->
+    census_forget c (census_sites t c addr) addr;
+    Runtime.Metadata.on_dealloc c.meta ~addr;
+    Hashtbl.remove c.births addr
   | None -> ());
   Allocators.Pkalloc.dealloc t.pkalloc addr
 
@@ -203,14 +254,23 @@ let realloc t addr new_size =
     (match t.mitigator with
     | Some m -> Runtime.Mitigator.log_realloc m ~old_addr:addr ~new_addr:fresh ~new_size
     | None -> ());
-    (match t.census_meta with
-    | Some meta ->
-      Runtime.Metadata.on_realloc meta ~old_addr:addr ~new_addr:fresh ~new_size;
+    (match t.census with
+    | Some c ->
+      (* Only a tracked object moves: one born before [track_census], or
+         a U malloc, stays uncounted (Metadata.on_realloc ignores it). *)
+      (match Runtime.Metadata.find c.meta addr with
+      | Some r ->
+        let sites = census_sites t c addr in
+        census_drop sites r;
+        if fresh <> addr then census_forget c sites fresh;
+        census_add sites r.Runtime.Metadata.alloc_id new_size
+      | None -> ());
+      Runtime.Metadata.on_realloc c.meta ~old_addr:addr ~new_addr:fresh ~new_size;
       (* The object's identity — and so its birth — survives realloc. *)
-      (match Hashtbl.find_opt t.census_births addr with
+      (match Hashtbl.find_opt c.births addr with
       | Some birth ->
-        Hashtbl.remove t.census_births addr;
-        Hashtbl.replace t.census_births fresh birth
+        Hashtbl.remove c.births addr;
+        Hashtbl.replace c.births fresh birth
       | None -> ())
     | None -> ());
     fresh
@@ -258,20 +318,31 @@ let stack_frames t = Runtime.Gate.stack_frames t.active.t_gate
 
 (* --- heap census --- *)
 
-(* Tracking is opt-in: the live-object table and birth cycles are only
-   maintained once this has been called, so a run that never asked for a
-   census (or an audit) does no extra bookkeeping. *)
+(* Tracking is opt-in: the census state is only created, and maintained,
+   once this has been called, so a run that never asked for a census (or
+   an audit) does no extra bookkeeping. *)
 let track_census t =
-  match t.census_meta with
+  match t.census with
   | Some _ -> ()
-  | None -> t.census_meta <- Some (Runtime.Metadata.create ())
+  | None ->
+    t.census <-
+      Some
+        {
+          meta = Runtime.Metadata.create ();
+          births = Hashtbl.create 64;
+          mt_sites = Site_tbl.create 32;
+          mu_sites = Site_tbl.create 32;
+        }
 
-let census_metadata t = t.census_meta
+let census_metadata t = Option.map (fun c -> c.meta) t.census
+
+let census_birth t addr = Option.bind t.census (fun c -> Hashtbl.find_opt c.births addr)
 
 (* The census snapshot provider: per-pool allocator statistics plus the
-   per-site live view and object ages from the census metadata.  Pure
-   OCaml reads over pkalloc / pool / metadata state — charges no
-   simulated cycles, takes no checked accesses. *)
+   non-empty per-site cells, sorted, and object ages from the birth
+   cycles — O(sites) plus one integer pass, never a heap walk.  Pure
+   OCaml reads over pkalloc / pool / census state — charges no simulated
+   cycles, takes no checked accesses. *)
 let census_snapshot t () =
   let pool_stats name stats pool =
     let live = Allocators.Alloc_stats.live_bytes stats in
@@ -307,47 +378,27 @@ let census_snapshot t () =
   let now = Sim.Machine.cycles t.machine in
   let ages = Telemetry.Histogram.create () in
   let sites =
-    match t.census_meta with
+    match t.census with
     | None -> []
-    | Some meta ->
-      let per_site : (string * string, int ref * int ref) Hashtbl.t = Hashtbl.create 32 in
-      Runtime.Metadata.iter
-        (fun r ->
-          let site = Runtime.Alloc_id.to_string r.Runtime.Metadata.alloc_id in
-          let pool =
-            match Allocators.Pkalloc.pool_of_addr t.pkalloc r.Runtime.Metadata.addr with
-            | Some `Untrusted -> "mu"
-            | Some `Trusted | None -> "mt"
-          in
-          let bytes, objects =
-            match Hashtbl.find_opt per_site (site, pool) with
-            | Some cell -> cell
-            | None ->
-              let cell = (ref 0, ref 0) in
-              Hashtbl.add per_site (site, pool) cell;
-              cell
-          in
-          bytes := !bytes + r.Runtime.Metadata.size;
-          incr objects;
-          (* Births recorded before a counter reset postdate "now";
-             Histogram.observe clamps the negative age to 0. *)
-          let birth =
-            match Hashtbl.find_opt t.census_births r.Runtime.Metadata.addr with
-            | Some b -> b
-            | None -> now
-          in
-          Telemetry.Histogram.observe ages (now - birth))
-        meta;
-      Hashtbl.fold
-        (fun (site, pool) (bytes, objects) acc ->
-          {
-            Telemetry.Census.cs_site = site;
-            cs_pool = pool;
-            cs_live_bytes = !bytes;
-            cs_live_objects = !objects;
-          }
-          :: acc)
-        per_site []
+    | Some c ->
+      (* Births recorded before a counter reset postdate "now";
+         Histogram.observe clamps the negative age to 0. *)
+      Hashtbl.iter (fun _addr birth -> Telemetry.Histogram.observe ages (now - birth)) c.births;
+      let collect pool sites acc =
+        Site_tbl.fold
+          (fun _site cell acc ->
+            if cell.live_objects = 0 then acc
+            else
+              {
+                Telemetry.Census.cs_site = cell.label;
+                cs_pool = pool;
+                cs_live_bytes = cell.live_bytes;
+                cs_live_objects = cell.live_objects;
+              }
+              :: acc)
+          sites acc
+      in
+      collect "mt" c.mt_sites (collect "mu" c.mu_sites [])
       |> List.sort (fun (a : Telemetry.Census.site_stats) b ->
              compare (a.Telemetry.Census.cs_site, a.cs_pool) (b.Telemetry.Census.cs_site, b.cs_pool))
   in

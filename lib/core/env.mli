@@ -142,12 +142,19 @@ val census_metadata : t -> Runtime.Metadata.t option
 (** The census live-object table ([None] until {!track_census}) — pass
     it to the auditor's scan as its attribution source. *)
 
+val census_birth : t -> int -> int option
+(** The birth cycle of the tracked live object based at an address
+    ([None] when untracked, or before {!track_census}).  Survives
+    {!realloc}; read-only. *)
+
 val census_snapshot : t -> unit -> Telemetry.Census.snapshot
 (** The {!Telemetry.Census} snapshot provider: per-pool (MT/MU) live
     bytes / objects / fragmentation / high-water marks from pkalloc, plus
     per-AllocId live bytes and the log₂ object-age histogram from the
-    census table (empty until {!track_census}).  Pure reads; charges no
-    cycles.  Install with
+    census state (empty until {!track_census}).  The per-site counters
+    are maintained on every tracked alloc/free/realloc, so a snapshot
+    costs O(sites) — it equals a walk over {!census_metadata} without
+    doing one.  Pure reads; charges no cycles.  Install with
     [Telemetry.Census.install ~provider:(Env.census_snapshot env) c]. *)
 
 val flight_context : t -> unit -> Util.Json.t

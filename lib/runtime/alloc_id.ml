@@ -22,7 +22,7 @@ let hash a = Hashtbl.hash (a.func_id, a.block_id, a.call_id)
 
 let pp fmt a = Format.fprintf fmt "alloc<%d:%d:%d>" a.func_id a.block_id a.call_id
 
-let to_string a = Format.asprintf "%a" pp a
+let to_string a = Printf.sprintf "alloc<%d:%d:%d>" a.func_id a.block_id a.call_id
 
 let to_json a =
   Util.Json.Obj

@@ -30,9 +30,10 @@ let lookup t a =
   | Some (_, record) when a < record.addr + record.size -> Some record
   | Some _ | None -> None
 
+let find t addr = Addr_map.find_opt addr t.by_base
+
 let live_count t = Addr_map.cardinal t.by_base
 
-(* Census iteration: live records in ascending base-address order, so
-   any aggregation over the table is deterministic. *)
-let fold f t init = Addr_map.fold (fun _base record acc -> f record acc) t.by_base init
+(* Live records in ascending base-address order, so any aggregation over
+   the table is deterministic. *)
 let iter f t = Addr_map.iter (fun _base record -> f record) t.by_base

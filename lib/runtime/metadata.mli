@@ -30,12 +30,12 @@ val lookup : t -> int -> record option
     (not just its base address — the faulting access may be anywhere
     inside the object). *)
 
+val find : t -> int -> record option
+(** [find t a]: the record of the live object based exactly at [a] — the
+    entry {!on_dealloc}/{!on_realloc} would drop for that pointer. *)
+
 val live_count : t -> int
 
-val fold : (record -> 'a -> 'a) -> t -> 'a -> 'a
-(** Folds over every live record in ascending base-address order
-    (deterministic) — the heap census aggregates per-site live bytes and
-    object counts this way. *)
-
 val iter : (record -> unit) -> t -> unit
-(** {!fold} without an accumulator. *)
+(** Visits every live record in ascending base-address order
+    (deterministic). *)

@@ -7,10 +7,12 @@
 
    The telemetry library cannot see the allocators, so snapshots are
    generic records built by the provider (the runtime environment, which
-   owns pkalloc and the live-object table).  Like the sink and the
-   sampler, the census charges no simulated cycles and the disabled path
-   is one load and one branch, so censused and uncensused runs retire
-   bit-identical cycle counts and event traces. *)
+   keeps per-site live counters up to date on every tracked alloc, free
+   and realloc, so a snapshot costs O(sites) plus one integer pass over
+   the live objects' birth cycles).  Like the sink and the sampler, the
+   census charges no simulated cycles and the disabled path is one load
+   and one branch, so censused and uncensused runs retire bit-identical
+   cycle counts and event traces. *)
 
 type pool_stats = {
   cp_pool : string; (* "mt" | "mu" *)
@@ -44,8 +46,8 @@ type t = {
   every : int; (* census period in simulated cycles *)
   mutable credit : int; (* cycles accumulated toward the next snapshot *)
   mutable taken : int; (* snapshots taken, total *)
-  mutable snapshots : snapshot list; (* newest first, bounded *)
-  max_keep : int;
+  ring : snapshot Ring.t; (* the last [keep] snapshots *)
+  mutable latest : snapshot option;
 }
 
 let default_keep = 64
@@ -53,28 +55,25 @@ let default_keep = 64
 let create ?(keep = default_keep) ~every () =
   if every <= 0 then invalid_arg "Census.create: every must be positive";
   if keep <= 0 then invalid_arg "Census.create: keep must be positive";
-  { every; credit = 0; taken = 0; snapshots = []; max_keep = keep }
+  { every; credit = 0; taken = 0; ring = Ring.create ~capacity:keep; latest = None }
 
 let every t = t.every
 let taken_total t = t.taken
-let snapshots t = List.rev t.snapshots
-let latest t = match t.snapshots with [] -> None | s :: _ -> Some s
+let snapshots t = Ring.to_list t.ring
+let latest t = t.latest
 
 (* The process-wide census, matched directly by Cpu.charge. *)
 let current : t option ref = ref None
 
-(* Snapshot provider: walks pkalloc / pool / live-object state.
+(* Snapshot provider: reads pkalloc / pool / per-site census state.
    Registered by the runtime layer that owns the allocators; must not
    charge simulated cycles (pure OCaml reads only). *)
 let provider : (unit -> snapshot) option ref = ref None
 
-let truncate n list =
-  let len = List.length list in
-  if len <= n then list else List.filteri (fun i _ -> i < n) list
-
 let record t snap =
   t.taken <- t.taken + 1;
-  t.snapshots <- truncate t.max_keep (snap :: t.snapshots)
+  Ring.push t.ring snap;
+  t.latest <- Some snap
 
 let tick t ~cpu n =
   t.credit <- t.credit + n;
@@ -160,7 +159,7 @@ let digest_json t =
     [
       ("census_every_cycles", Int t.every);
       ("snapshots_total", Int t.taken);
-      ("snapshots_kept", Int (List.length t.snapshots));
+      ("snapshots_kept", Int (Ring.length t.ring));
       ("latest", (match latest t with None -> Null | Some s -> snapshot_json s));
     ]
 

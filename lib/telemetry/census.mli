@@ -1,4 +1,4 @@
-(** The continuous heap census: a cycle-driven periodic walk over
+(** The continuous heap census: cycle-driven periodic snapshots of
     allocator state.
 
     Every [every] simulated cycles (ticked from the machine's charge
@@ -8,6 +8,11 @@
     log₂ histogram of live-object ages — in a bounded ring.  Each
     snapshot also records a zero-duration [census] span on the active
     sink (span recording only: the event trace is untouched).
+
+    The provider does not walk the heap: the runtime environment keeps
+    per-(AllocId, pool) live counters current on every tracked alloc,
+    free and realloc, so a snapshot costs O(sites) to fold and sort,
+    plus one integer pass over live-object birth cycles for the ages.
 
     The census never charges simulated cycles and the disabled path is
     one load and one branch per charge, so censused and uncensused runs

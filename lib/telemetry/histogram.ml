@@ -29,7 +29,8 @@ let bucket_upper i = (1 lsl (i + 1)) - 1
 
 let observe t v =
   let v = max v 0 in
-  t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
+  let b = bucket_of v in
+  t.buckets.(b) <- t.buckets.(b) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v < t.min then t.min <- v;

@@ -13,7 +13,7 @@ type kind =
   | Incident  (** a mitigator adjudication (instant) *)
   | Chaos     (** a chaos-harness injection window *)
   | Phase     (** an engine / browser workload phase *)
-  | Census    (** one heap-census snapshot walk (instant) *)
+  | Census    (** one heap-census snapshot (instant) *)
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option

@@ -76,7 +76,7 @@ val run_config :
     TLB on or off).  With [~sample_every:n] a {!Telemetry.Sampler}
     snapshots the thread's compartment stack every [n] simulated cycles
     and is returned in [samples].  With [~census_every:n] a
-    {!Telemetry.Census} walks the heap every [n] simulated cycles
+    {!Telemetry.Census} snapshots the heap every [n] simulated cycles
     (tracking covers page-load allocations too) and is returned in
     [census].  None of the three charges simulated cycles, so
     traced/sampled/censused and plain runs report identical [cycles].

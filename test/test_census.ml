@@ -235,6 +235,184 @@ let test_alloc_stats_peak () =
   Alcotest.(check int) "peak unchanged below high water" 300
     (Allocators.Alloc_stats.peak_live_bytes s)
 
+(* (9) The incremental census equals the full walk.  [walk_oracle] is the
+   snapshot as a walk computes it: every live record of the census table,
+   its printed AllocId, its pool by address, and its age from its birth
+   cycle.  [Env.census_snapshot] keeps per-site counters on alloc, free
+   and realloc instead, so after every step of a random operation
+   sequence the two must agree — sites exactly, ages in every
+   order-independent field. *)
+let walk_oracle env =
+  let now = Pkru_safe.Env.cycles env in
+  let ages = Telemetry.Histogram.create () in
+  let sites =
+    match Pkru_safe.Env.census_metadata env with
+    | None -> []
+    | Some meta ->
+      let per_site : (string * string, int ref * int ref) Hashtbl.t = Hashtbl.create 32 in
+      Runtime.Metadata.iter
+        (fun r ->
+          let site = Runtime.Alloc_id.to_string r.Runtime.Metadata.alloc_id in
+          let pool =
+            match
+              Allocators.Pkalloc.pool_of_addr (Pkru_safe.Env.pkalloc env) r.Runtime.Metadata.addr
+            with
+            | Some `Untrusted -> "mu"
+            | Some `Trusted | None -> "mt"
+          in
+          let bytes, objects =
+            match Hashtbl.find_opt per_site (site, pool) with
+            | Some cell -> cell
+            | None ->
+              let cell = (ref 0, ref 0) in
+              Hashtbl.add per_site (site, pool) cell;
+              cell
+          in
+          bytes := !bytes + r.Runtime.Metadata.size;
+          incr objects;
+          let birth =
+            Option.value ~default:now (Pkru_safe.Env.census_birth env r.Runtime.Metadata.addr)
+          in
+          Telemetry.Histogram.observe ages (now - birth))
+        meta;
+      Hashtbl.fold
+        (fun (site, pool) (bytes, objects) acc ->
+          {
+            Telemetry.Census.cs_site = site;
+            cs_pool = pool;
+            cs_live_bytes = !bytes;
+            cs_live_objects = !objects;
+          }
+          :: acc)
+        per_site []
+      |> List.sort compare
+  in
+  (sites, ages)
+
+let histogram_fields h =
+  Telemetry.Histogram.
+    (count h, sum h, min_value h, max_value h, nonempty_buckets h)
+
+(* Live pointers the sequence may free or resize: [tracked] ones came
+   from [Env.alloc] after tracking began, the others did not (born before
+   [track_census], or a U malloc) and are invisible to the census. *)
+type live = { addr : int; size : int; tracked : bool }
+
+let census_oracle_run seed =
+  let rng = Util.Rng.create seed in
+  let site n = Runtime.Alloc_id.make ~func_id:(n mod 3) ~block_id:(n / 3) ~call_id:n in
+  let sites = Array.init 8 site in
+  (* Sites 0 and 1 move to MU by profile; site 2 is quarantined part-way
+     through, so it ends up with live objects in both pools. *)
+  let profile = Runtime.Profile.create () in
+  Runtime.Profile.record profile sites.(0);
+  Runtime.Profile.record profile sites.(1);
+  let env = ok (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk)) in
+  let cpu = List.hd (Sim.Machine.cpus (Pkru_safe.Env.machine env)) in
+  let live = ref [] in
+  let add l = live := l :: !live in
+  let take () =
+    match !live with
+    | [] -> None
+    | l ->
+      let v = List.nth l (Util.Rng.int rng (List.length l)) in
+      live := List.filter (fun x -> x != v) l;
+      Some v
+  in
+  let size () =
+    if Util.Rng.int rng 8 = 0 then 2000 + Util.Rng.int rng 6000 else 1 + Util.Rng.int rng 256
+  in
+  let alloc () =
+    let n = Util.Rng.int rng (Array.length sites) in
+    let size = size () in
+    (Pkru_safe.Env.alloc env ~site:sites.(n) size, size)
+  in
+  (* Untracked state allocates no census data and reports no sites. *)
+  for _ = 1 to 4 do
+    let addr, size = alloc () in
+    add { addr; size; tracked = false }
+  done;
+  if Pkru_safe.Env.census_metadata env <> None then
+    Alcotest.failf "[seed %d] census state exists before track_census" seed;
+  let untracked = Pkru_safe.Env.census_snapshot env () in
+  if untracked.Telemetry.Census.sites <> []
+     || Telemetry.Histogram.count untracked.Telemetry.Census.ages <> 0
+  then Alcotest.failf "[seed %d] untracked snapshot reports live objects" seed;
+  Pkru_safe.Env.track_census env;
+  for step = 1 to 300 do
+    let op =
+      match Util.Rng.int rng 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 ->
+        let addr, size = alloc () in
+        add { addr; size; tracked = true };
+        "alloc"
+      | 6 | 7 | 8 -> (
+        match take () with
+        | Some l ->
+          Pkru_safe.Env.dealloc env l.addr;
+          "dealloc"
+        | None -> "dealloc (none live)")
+      | 9 | 10 -> (
+        (* Shrinking stays in place (b_try_resize); so may a small grow. *)
+        match take () with
+        | Some l ->
+          let size = max 1 (l.size - Util.Rng.int rng (l.size + 1)) + Util.Rng.int rng 8 in
+          let addr = Pkru_safe.Env.realloc env l.addr size in
+          add { l with addr; size };
+          if addr = l.addr then "realloc in place" else "realloc (moved)"
+        | None -> "realloc (none live)")
+      | 11 | 12 -> (
+        (* Growing far past the block moves it. *)
+        match take () with
+        | Some l ->
+          let size = (l.size * 4) + 512 in
+          let addr = Pkru_safe.Env.realloc env l.addr size in
+          add { l with addr; size };
+          if addr = l.addr then "realloc grow (in place)" else "realloc grow (moved)"
+        | None -> "realloc grow (none live)")
+      | 13 | 14 ->
+        let size = 1 + Util.Rng.int rng 128 in
+        add { addr = Pkru_safe.Env.malloc_untrusted env size; size; tracked = false };
+        "malloc_untrusted"
+      | 15 -> (
+        (* A free that bypasses Env (as the attack battery's does) leaves
+           a stale record that a later alloc at that base replaces. *)
+        match List.find_opt (fun l -> l.tracked) !live with
+        | Some l ->
+          live := List.filter (fun x -> x != l) !live;
+          Allocators.Pkalloc.dealloc (Pkru_safe.Env.pkalloc env) l.addr;
+          "free bypassing Env"
+        | None -> "free bypassing Env (none tracked)")
+      | 16 ->
+        Allocators.Pkalloc.quarantine_site (Pkru_safe.Env.pkalloc env)
+          (Runtime.Alloc_id.to_string sites.(2));
+        "quarantine site 2"
+      | 17 ->
+        Pkru_safe.Env.reset_counters env;
+        "reset_counters"
+      | _ ->
+        Sim.Cpu.charge cpu (1 + Util.Rng.int rng 5000);
+        "charge"
+    in
+    let snap = Pkru_safe.Env.census_snapshot env () in
+    let oracle_sites, oracle_ages = walk_oracle env in
+    if snap.Telemetry.Census.sites <> oracle_sites
+       || histogram_fields snap.Telemetry.Census.ages <> histogram_fields oracle_ages
+    then
+      Alcotest.failf
+        "[seed %d] step %d (%s): incremental census differs from the walk; replay: \
+         CENSUS_ORACLE_SEED=%d dune exec test/test_main.exe -- test census"
+        seed step op seed
+  done
+
+let test_incremental_census_matches_walk () =
+  match Sys.getenv_opt "CENSUS_ORACLE_SEED" with
+  | Some seed -> census_oracle_run (int_of_string seed)
+  | None ->
+    for seed = 1 to 24 do
+      census_oracle_run seed
+    done
+
 let suite =
   [
     Alcotest.test_case "census does not perturb measurements" `Quick
@@ -248,4 +426,6 @@ let suite =
     Alcotest.test_case "census metrics export" `Quick test_census_metrics_export;
     Alcotest.test_case "flight dump embeds census" `Quick test_flight_dump_embeds_census;
     Alcotest.test_case "alloc stats peak tracking" `Quick test_alloc_stats_peak;
+    Alcotest.test_case "incremental census matches walk" `Quick
+      test_incremental_census_matches_walk;
   ]
