@@ -1,6 +1,6 @@
 # Convenience targets for the PKRU-Safe reproduction.
 
-.PHONY: all build test check bench examples clean
+.PHONY: all build test check globals bench examples clean
 
 all: build
 
@@ -14,6 +14,10 @@ test:
 check:
 	dune build @all
 	dune runtest --force
+
+# Pins the module-level mutable globals in lib/ to tools/globals.allow.
+globals:
+	sh tools/globals.sh
 
 bench:
 	dune exec bench/main.exe

@@ -44,11 +44,11 @@ let fail_on_error = function
   | Ok v -> v
   | Error msg -> failwith msg
 
-(* Execution-tier selection and fast-tier layer toggles, shared by
-   `browse` and `report`.  Every tier simulates the same machine: the
-   bytecode tiers are bit-identical to each other by construction, so
-   these flags change host wall-clock only (plus the AST tier's different
-   — but still deterministic — cycle accounting). *)
+(* Execution-tier selection, shared by `browse`, `report` and `fleet`.
+   Every tier simulates the same machine: the bytecode tiers are
+   bit-identical to each other by construction, so the flag changes host
+   wall-clock only (plus the AST tier's different — but still
+   deterministic — cycle accounting). *)
 let tier_conv =
   let parse = function
     | "ast" -> Ok Engine.Ast_tier
@@ -71,23 +71,6 @@ let tier_flag =
            ~doc:"Engine execution tier: ast (default), bytecode (the reference interpreter) \
                  or threaded (fast tier: closure-compiled dispatch, superinstructions, \
                  inline caches — simulates bit-identically to bytecode)")
-
-let engine_opts_term =
-  let off names doc = Arg.(value & flag & info names ~doc) in
-  let make no_super no_var no_prop no_batch =
-    {
-      Engine.Threaded.superinstructions = not no_super;
-      var_ic = not no_var;
-      prop_ic = not no_prop;
-      batched_slots = not no_batch;
-    }
-  in
-  Term.(
-    const make
-    $ off [ "no-superinstructions" ] "Disable superinstruction fusion (threaded tier only)"
-    $ off [ "no-var-ic" ] "Disable variable inline caches (threaded tier only)"
-    $ off [ "no-prop-ic" ] "Disable property (shape) inline caches (threaded tier only)"
-    $ off [ "no-batched-slots" ] "Disable the batched-TLB slot fast path (threaded tier only)")
 
 let engine_tier_digest tier browser =
   (* Only the fast tier has ICs / superinstructions to report on. *)
@@ -187,7 +170,7 @@ print("data = " + d);
 print("innerHTML = " + domGetInnerHTML(app));
 print("children = " + domChildCount(app));|}
 
-let run_browse mode page script mitigation flight tier engine_opts =
+let run_browse mode page script mitigation flight tier =
   let profile =
     match mode with
     | Pkru_safe.Config.Alloc | Pkru_safe.Config.Mpk ->
@@ -206,16 +189,15 @@ let run_browse mode page script mitigation flight tier engine_opts =
   in
   let browser = Browser.create env in
   Engine.reset_stats (Browser.engine browser);
-  Engine.Threaded.with_opts engine_opts (fun () ->
-      with_flight ~context:(Pkru_safe.Env.flight_context env) flight (fun () ->
-          Browser.load_page browser page;
-          match Browser.exec_script ~tier browser script with
-          | _ -> ()
-          | exception Vmm.Fault.Unhandled fault ->
-            Printf.printf "script killed: %s\n" (Vmm.Fault.to_string fault)
-          | exception Sim.Signals.Process_killed msg -> Printf.printf "process killed: %s\n" msg
-          | exception Runtime.Mitigator.Degraded fault ->
-            Printf.printf "request degraded: %s\n" (Vmm.Fault.to_string fault)));
+  with_flight ~context:(Pkru_safe.Env.flight_context env) flight (fun () ->
+      Browser.load_page browser page;
+      match Browser.exec_script ~tier browser script with
+      | _ -> ()
+      | exception Vmm.Fault.Unhandled fault ->
+        Printf.printf "script killed: %s\n" (Vmm.Fault.to_string fault)
+      | exception Sim.Signals.Process_killed msg -> Printf.printf "process killed: %s\n" msg
+      | exception Runtime.Mitigator.Degraded fault ->
+        Printf.printf "request degraded: %s\n" (Vmm.Fault.to_string fault));
   List.iter print_endline (Browser.console browser);
   (match Pkru_safe.Env.mitigator env with
   | Some m when Runtime.Mitigator.incidents m > 0 ->
@@ -1053,8 +1035,7 @@ let browse_cmd =
   Cmd.v (Cmd.info "browse" ~doc:"Run a page + script under a configuration (E2-style)")
     Term.(
       ret
-        (const run_browse $ mode $ page $ script $ mitigation_flag $ flight_flag $ tier_flag
-        $ engine_opts_term))
+        (const run_browse $ mode $ page $ script $ mitigation_flag $ flight_flag $ tier_flag))
 
 let exploit_cmd =
   Cmd.v (Cmd.info "exploit" ~doc:"Run the E3 security experiment")

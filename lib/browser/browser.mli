@@ -28,14 +28,7 @@ module Selector = Selector
 
 type t
 
-val create :
-  ?engine_seed:int ->
-  ?engine_fuel:int ->
-  ?engine_opts:Engine.Threaded.opts ->
-  Pkru_safe.Env.t ->
-  t
-(** [engine_opts] pins the session's threaded-tier layers (per-instance;
-    omitted, the engine defers to the process-wide [!Threaded.config]). *)
+val create : ?engine_seed:int -> ?engine_fuel:int -> Pkru_safe.Env.t -> t
 
 val env : t -> Pkru_safe.Env.t
 val dom : t -> Dom.t

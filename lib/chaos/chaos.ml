@@ -385,11 +385,12 @@ let gate_corruption ~policy ~seed =
   in
   let sink = Telemetry.Sink.create () in
   let recorder = flight_for env sink in
+  let gate = Pkru_safe.Env.gate env in
   let ending =
     Fun.protect
-      ~finally:(fun () -> Runtime.Gate.chaos_pkru_corruptor := None)
+      ~finally:(fun () -> Runtime.Gate.set_pkru_corruptor gate None)
       (fun () ->
-        Runtime.Gate.chaos_pkru_corruptor := Some corrupt;
+        Runtime.Gate.set_pkru_corruptor gate (Some corrupt);
         driven env sink recorder ("chaos:gate-corruption:" ^ variant) (fun () ->
             run_script browser))
   in

@@ -19,20 +19,11 @@ type t = {
   tstats : Threaded.stats;
       (* this engine's threaded-tier counters: per-instance, so fleet
          sessions observe only their own IC behaviour *)
-  opts : Threaded.opts option;
-      (* per-engine tier layers; [None] defers to [!Threaded.config] at
-         eval time (the process-wide default, as before) *)
 }
 
-let create ?seed ?fuel ?engine_opts env =
+let create ?seed ?fuel env =
   let heap = Value.create_heap env in
-  {
-    env;
-    heap;
-    eval = Eval.create ?seed ?fuel heap;
-    tstats = Threaded.make_stats ();
-    opts = engine_opts;
-  }
+  { env; heap; eval = Eval.create ?seed ?fuel heap; tstats = Threaded.make_stats () }
 
 let env t = t.env
 let heap t = t.heap
@@ -79,7 +70,7 @@ let eval_source ?(tier = Ast_tier) t src =
     with_phase t "engine:bytecode" (fun () -> Bytecode.run t.eval (Bytecode.compile program))
   | Threaded_tier ->
     with_phase t "engine:bytecode" (fun () ->
-        Threaded.run ?opts:t.opts ~stats:t.tstats t.eval (Bytecode.compile program))
+        Threaded.run ~stats:t.tstats t.eval (Bytecode.compile program))
 
 let eval_string ?tier t text =
   match Value.str_of_string t.heap text with

@@ -19,16 +19,12 @@ type tier =
   | Ast_tier      (** tree-walking evaluator (default) *)
   | Bytecode_tier (** compile to stack bytecode, then interpret (reference) *)
   | Threaded_tier
-      (** closure-compiled dispatch + superinstructions + inline caches
-          (layers per [!Threaded.config]); simulates bit-identically to
-          [Bytecode_tier] *)
+      (** closure-compiled dispatch + superinstructions + inline caches;
+          simulates bit-identically to [Bytecode_tier] *)
 
 type t
 
-val create : ?seed:int -> ?fuel:int -> ?engine_opts:Threaded.opts -> Pkru_safe.Env.t -> t
-(** [engine_opts] pins this instance's threaded-tier layers; omitted, the
-    instance defers to [!Threaded.config] at eval time (so
-    [Threaded.with_opts] keeps working for process-wide toggles). *)
+val create : ?seed:int -> ?fuel:int -> Pkru_safe.Env.t -> t
 
 val env : t -> Pkru_safe.Env.t
 val heap : t -> Value.heap

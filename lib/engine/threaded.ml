@@ -8,9 +8,9 @@
    exact same sequence of simulated charges, machine accesses and fault
    checks.  The differential test suite asserts bit-identical cycles,
    compartment transitions and event traces against [Bytecode.exec] on
-   every workload kernel, with each layer toggled independently.
+   every workload kernel.
 
-   Layers (all on by default, independently toggleable via {!opts}):
+   Layers:
 
    - {b Threaded dispatch}: [Bytecode.instr array] is compiled once per
      code object into an array of closures ("ops"), one per instruction
@@ -34,31 +34,7 @@
      walk would have charged — see Eval.cached_lookup); property sites
      cache (shape id, slot) pairs against Value's hidden classes,
      mono- then polymorphic up to {!pic_limit} entries, charging exactly
-     [prop_cost] on a hit like the name-keyed path.
-
-   Loads and stores additionally flow through the width-specialised
-   batched TLB path ([Sim.Machine.read_f64_batched]) when enabled. *)
-
-(* Threaded dispatch itself is the module; running with every layer below
-   switched off is plain closure-compiled dispatch. *)
-type opts = {
-  superinstructions : bool;
-  var_ic : bool;
-  prop_ic : bool;
-  batched_slots : bool;
-}
-
-let all_on = { superinstructions = true; var_ic = true; prop_ic = true; batched_slots = true }
-
-let all_off =
-  { superinstructions = false; var_ic = false; prop_ic = false; batched_slots = false }
-
-let config = ref all_on
-
-let with_opts opts f =
-  let saved = !config in
-  config := opts;
-  Fun.protect ~finally:(fun () -> config := saved) f
+     [prop_cost] on a hit like the name-keyed path. *)
 
 type stats = {
   mutable prop_hits : int;
@@ -145,7 +121,6 @@ let pic_add pic sh slot =
 
 type tvm = {
   eval : Eval.t;
-  opts : opts;
   stats : stats;
   (* closure id -> (params, compiled body).  The ops are compiled lazily
      on first call and shared (via [code_cache]) by every closure minted
@@ -185,80 +160,61 @@ let rec compile_ops tvm (code : Bytecode.instr array) : op array =
   (* Per-site resolvers, shared by plain and fused ops.  Each call mints
      the site's inline-cache state, so call once per compiled site. *)
   let make_load name : frame -> Value.t =
-    if tvm.opts.var_ic then begin
-      let site = Eval.var_site name in
-      fun fr ->
-        match Eval.cached_lookup t (cur fr) site with
-        | Some v -> v
-        | None ->
-          if Eval.host_exists t name then Value.Host name
-          else Eval.fail "undefined variable %s" name
-    end
-    else
-      fun fr ->
-        match Eval.scope_lookup t (cur fr) name with
-        | Some v -> v
-        | None ->
-          if Eval.host_exists t name then Value.Host name
-          else Eval.fail "undefined variable %s" name
+    let site = Eval.var_site name in
+    fun fr ->
+      match Eval.cached_lookup t (cur fr) site with
+      | Some v -> v
+      | None ->
+        if Eval.host_exists t name then Value.Host name
+        else Eval.fail "undefined variable %s" name
   in
   let make_store name : frame -> Value.t -> unit =
-    if tvm.opts.var_ic then begin
-      let site = Eval.var_site name in
-      fun fr v ->
-        if not (Eval.cached_assign t (cur fr) site v) then Eval.set_global t name v
-    end
-    else fun fr v -> Eval.scope_assign t (cur fr) name v
+    let site = Eval.var_site name in
+    fun fr v -> if not (Eval.cached_assign t (cur fr) site v) then Eval.set_global t name v
   in
   let make_member_load name : Value.t -> Value.t =
-    if tvm.opts.prop_ic then begin
-      let pic = pic_make () in
-      fun recv ->
-        match recv with
-        | Value.Obj o ->
-          let sh = Value.obj_shape_id o in
-          let slot = if pic.p_mega then -1 else pic_find pic sh in
-          if slot >= 0 then begin
-            tvm.stats.prop_hits <- tvm.stats.prop_hits + 1;
-            Value.obj_get_slot h o slot
-          end
-          else begin
-            tvm.stats.prop_misses <- tvm.stats.prop_misses + 1;
-            match Value.obj_slot_index o name with
-            | Some sl ->
-              if not pic.p_mega then pic_add pic sh sl;
-              Value.obj_get_slot h o sl
-            | None -> Eval.member_get t recv name
-          end
-        | recv -> Eval.member_get t recv name
-    end
-    else fun recv -> Eval.member_get t recv name
+    let pic = pic_make () in
+    fun recv ->
+      match recv with
+      | Value.Obj o ->
+        let sh = Value.obj_shape_id o in
+        let slot = if pic.p_mega then -1 else pic_find pic sh in
+        if slot >= 0 then begin
+          tvm.stats.prop_hits <- tvm.stats.prop_hits + 1;
+          Value.obj_get_slot h o slot
+        end
+        else begin
+          tvm.stats.prop_misses <- tvm.stats.prop_misses + 1;
+          match Value.obj_slot_index o name with
+          | Some sl ->
+            if not pic.p_mega then pic_add pic sh sl;
+            Value.obj_get_slot h o sl
+          | None -> Eval.member_get t recv name
+        end
+      | recv -> Eval.member_get t recv name
   in
   let make_member_store name : Value.t -> Value.t -> unit =
-    if tvm.opts.prop_ic then begin
-      let pic = pic_make () in
-      fun recv v ->
-        match recv with
-        | Value.Obj o ->
-          let sh = Value.obj_shape_id o in
-          let slot = if pic.p_mega then -1 else pic_find pic sh in
-          if slot >= 0 then begin
-            tvm.stats.prop_hits <- tvm.stats.prop_hits + 1;
-            Value.obj_set_slot h o slot v
-          end
-          else begin
-            tvm.stats.prop_misses <- tvm.stats.prop_misses + 1;
-            match Value.obj_slot_index o name with
-            | Some sl ->
-              if not pic.p_mega then pic_add pic sh sl;
-              Value.obj_set_slot h o sl v
-            | None ->
-              (* new property: transitions the shape — never cached *)
-              Eval.member_set t recv name v
-          end
-        | recv -> Eval.member_set t recv name v
-    end
-    else fun recv v -> Eval.member_set t recv name v
+    let pic = pic_make () in
+    fun recv v ->
+      match recv with
+      | Value.Obj o ->
+        let sh = Value.obj_shape_id o in
+        let slot = if pic.p_mega then -1 else pic_find pic sh in
+        if slot >= 0 then begin
+          tvm.stats.prop_hits <- tvm.stats.prop_hits + 1;
+          Value.obj_set_slot h o slot v
+        end
+        else begin
+          tvm.stats.prop_misses <- tvm.stats.prop_misses + 1;
+          match Value.obj_slot_index o name with
+          | Some sl ->
+            if not pic.p_mega then pic_add pic sh sl;
+            Value.obj_set_slot h o sl v
+          | None ->
+            (* new property: transitions the shape — never cached *)
+            Eval.member_set t recv name v
+        end
+      | recv -> Eval.member_set t recv name v
   in
   let make_op i (ins : Bytecode.instr) : op =
     let next = i + 1 in
@@ -654,17 +610,15 @@ let rec compile_ops tvm (code : Bytecode.instr array) : op array =
   in
   let n = Array.length code in
   let ops = Array.mapi make_op code in
-  if tvm.opts.superinstructions then begin
-    let i = ref 0 in
-    while !i < n - 1 do
-      match make_fused !i code.(!i) code.(!i + 1) with
-      | Some op ->
-        ops.(!i) <- op;
-        tvm.stats.fused_sites <- tvm.stats.fused_sites + 1;
-        i := !i + 2
-      | None -> incr i
-    done
-  end;
+  let i = ref 0 in
+  while !i < n - 1 do
+    match make_fused !i code.(!i) code.(!i + 1) with
+    | Some op ->
+      ops.(!i) <- op;
+      tvm.stats.fused_sites <- tvm.stats.fused_sites + 1;
+      i := !i + 2
+    | None -> incr i
+  done;
   ops
 
 (* Mirrors [Bytecode.call_value]: closures this VM minted re-enter the
@@ -727,23 +681,13 @@ and exec_ops tvm ops scope0 =
   tvm.frame_pool <- fr :: tvm.frame_pool;
   ret
 
-let run ?opts ?stats eval (program : Bytecode.program) =
-  let opts =
-    match opts with
-    | Some o -> o
-    | None -> !config
-  in
+let run ?stats eval (program : Bytecode.program) =
   let stats =
     match stats with
     | Some s -> s
     | None -> make_stats ()
   in
   let tvm =
-    { eval; opts; stats; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16;
-      frame_pool = [] }
+    { eval; stats; vm_closures = Hashtbl.create 16; code_cache = Hashtbl.create 16; frame_pool = [] }
   in
-  let saved = !Value.batched_slots in
-  Value.batched_slots := opts.batched_slots;
-  Fun.protect
-    ~finally:(fun () -> Value.batched_slots := saved)
-    (fun () -> exec_ops tvm (compile_ops tvm program.Bytecode.top) (Eval.globals_scope eval))
+  exec_ops tvm (compile_ops tvm program.Bytecode.top) (Eval.globals_scope eval)

@@ -7,27 +7,7 @@
     accesses and fault checks as the reference interpreter
     ({!Bytecode.run}).  Differential tests assert bit-identical cycles,
     compartment transitions and telemetry traces on every workload
-    kernel, per layer.  Only host wall-clock — and TLB hit counts, when
-    batched slot access is on — may differ. *)
-
-type opts = {
-  superinstructions : bool;  (** fuse measured-hot adjacent opcode pairs *)
-  var_ic : bool;  (** scope-walk inline caches (see {!Eval.cached_lookup}) *)
-  prop_ic : bool;  (** (shape, slot) property caches over hidden classes *)
-  batched_slots : bool;
-      (** one TLB probe per in-page 8-byte slot access
-          ({!Sim.Machine.read_f64_batched}) *)
-}
-
-val all_on : opts
-val all_off : opts
-
-val config : opts ref
-(** Layers used when {!run} is not given explicit [opts] (e.g. via
-    [Engine.Threaded_tier]).  Defaults to {!all_on}. *)
-
-val with_opts : opts -> (unit -> 'a) -> 'a
-(** Runs [f] with {!config} temporarily replaced. *)
+    kernel.  Only host wall-clock may differ. *)
 
 type stats = {
   mutable prop_hits : int;
@@ -49,7 +29,7 @@ val fused_pairs : (string * string) list
     [report --opcodes] measurements on dromaeo/octane (see
     EXPERIMENTS.md). *)
 
-val run : ?opts:opts -> ?stats:stats -> Eval.t -> Bytecode.program -> Value.t
+val run : ?stats:stats -> Eval.t -> Bytecode.program -> Value.t
 (** Same contract as {!Bytecode.run}, same observable simulation;
-    [opts] defaults to [!config]; [stats] (accumulated into, never
-    reset here) defaults to a fresh discarded record. *)
+    [stats] (accumulated into, never reset here) defaults to a fresh
+    discarded record. *)

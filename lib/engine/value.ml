@@ -126,21 +126,10 @@ let unbox_bits h bits =
 let box = box_bits
 let unbox = unbox_bits
 
-(* When enabled (the fast engine tier turns it on for the duration of a
-   run), slot traffic goes through the machine's batched accessors: same
-   cycles, faults and events, one TLB probe instead of two. *)
-let batched_slots = ref false
-
 let write_slot h addr v =
-  let f = Int64.float_of_bits (box_bits h v) in
-  if !batched_slots then Sim.Machine.write_f64_batched h.machine addr f
-  else Sim.Machine.write_f64 h.machine addr f
+  Sim.Machine.write_f64 h.machine addr (Int64.float_of_bits (box_bits h v))
 
-let read_slot h addr =
-  unbox_bits h
-    (Int64.bits_of_float
-       (if !batched_slots then Sim.Machine.read_f64_batched h.machine addr
-        else Sim.Machine.read_f64 h.machine addr))
+let read_slot h addr = unbox_bits h (Int64.bits_of_float (Sim.Machine.read_f64 h.machine addr))
 
 (* --- Strings --- *)
 

@@ -7,7 +7,7 @@
     {- strings are immutable byte buffers in machine memory;}
     {- arrays are growable buffers of 64-bit NaN-boxed slots in machine
        memory — exactly the layout real JS engines use — so every element
-       access is a checked load/store;}
+       access is a checked {!Sim.Machine.read_f64}/[write_f64];}
     {- objects keep a property map host-side (charged cycles) plus a small
        machine-resident header, standing in for the object's slot
        storage.}}
@@ -123,12 +123,6 @@ val obj_set_slot : heap -> obj -> int -> t -> unit
 
 val obj_iter : (string -> t -> unit) -> obj -> unit
 (** Iterate properties in insertion (slot) order. *)
-
-val batched_slots : bool ref
-(** When set, array/slot traffic uses {!Sim.Machine.read_f64_batched} /
-    [write_f64_batched] — bit-identical cycles and traces, fewer host-side
-    TLB probes.  The fast dispatch tier enables it for the duration of a
-    run; default off. *)
 
 (* {2 NaN boxing (exposed for tests)} *)
 

@@ -33,10 +33,8 @@
      with an [Oom] outcome while the fleet keeps going.  Retired
      sessions return their pages.
 
-   The only process-wide mutable the engine touches mid-run is
-   [Value.batched_slots] (the threaded tier toggles it for a run's
-   duration); the scheduler context-switches it per slice, so each
-   session observes its own consistent value.  The telemetry writer slots
+   The engine has no process-wide toggle, so parking and resuming a
+   session switches only its continuation.  The telemetry writer slots
    are guarded ({!Telemetry.Guard}) for the whole run. *)
 
 type job = {
@@ -125,7 +123,6 @@ type session = {
   mutable s_browser : Browser.t option;
   mutable s_cont : (unit, step) Effect.Deep.continuation option;
   mutable s_last_cycles : int; (* machine cycles at the last slice boundary *)
-  mutable s_batched : bool; (* saved [Value.batched_slots] across parks *)
 }
 
 let handler =
@@ -186,28 +183,14 @@ let session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess (
   match sink with
   | None -> exec ()
   | Some sink ->
-    let machine = Pkru_safe.Env.machine env in
-    let before = Sim.Machine.tlb_stats machine in
+    let tlb_before = Sim.Machine.tlb_stats (Pkru_safe.Env.machine env) in
     (* Install directly: the fleet holds the telemetry guard, which
        blocks [with_sink] for outside writers but not the fleet's own
        single-session trace. *)
     let previous = !Telemetry.Sink.current in
     Telemetry.Sink.current := Some sink;
     Fun.protect ~finally:(fun () -> Telemetry.Sink.current := previous) exec;
-    let after = Sim.Machine.tlb_stats machine in
-    Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.hits - before.Sim.Tlb.hits) "tlb_hit";
-    Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.misses - before.Sim.Tlb.misses) "tlb_miss";
-    Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.flushes - before.Sim.Tlb.flushes) "tlb_flush";
-    let ic = Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)) in
-    let ts = Engine.threaded_stats (Browser.engine browser) in
-    Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_hits "engine_var_ic_hit";
-    Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_misses "engine_var_ic_miss";
-    Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_hits "engine_prop_ic_hit";
-    Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_misses "engine_prop_ic_miss";
-    Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.super_execs "engine_super_exec";
-    let sel = Browser.selector_stats browser in
-    Telemetry.Sink.incr sink ~by:sel.Browser.sel_hits "engine_selector_hit";
-    Telemetry.Sink.incr sink ~by:sel.Browser.sel_misses "engine_selector_miss"
+    Workloads.Runner.inject_counters sink ~tlb_before browser
 
 (* --- The scheduler --- *)
 
@@ -247,7 +230,6 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
   let steals = ref 0 in
   let finished : session_result list ref = ref [] in
   let nfinished = ref 0 in
-  let ambient_batched = !Engine.Value.batched_slots in
   let admit c =
     let id = !next_id in
     incr next_id;
@@ -264,7 +246,6 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
         s_browser = None;
         s_cont = None;
         s_last_cycles = 0;
-        s_batched = ambient_batched;
       }
     in
     queues.(c) := !(queues.(c)) @ [ sess ]
@@ -375,7 +356,6 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
         with Sim.Signals.Process_killed msg -> Some msg)
   in
   let run_slice c sess =
-    Engine.Value.batched_slots := sess.s_batched;
     let step =
       match sess.s_cont with
       | Some k -> (
@@ -398,13 +378,10 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
     match step with
     | Parked k ->
       incr yields;
-      sess.s_batched <- !Engine.Value.batched_slots;
       sess.s_cont <- Some k;
       queues.(c) := !(queues.(c)) @ [ sess ]
     | Done outcome -> finalize c sess outcome
   in
-  Fun.protect ~finally:(fun () -> Engine.Value.batched_slots := ambient_batched)
-  @@ fun () ->
   while !nfinished < n do
     admit_pending ();
     let c = select () in

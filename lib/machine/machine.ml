@@ -285,52 +285,50 @@ let write_u16 t addr v = write_le t addr 2 v
 let write_u32 t addr v = write_le t addr 4 v
 let write_u64 t addr v = write_le t addr 8 v
 
-(* Floats are stored via their bit pattern.  OCaml ints hold 63 bits, so we
-   move the top byte separately. *)
+(* Floats are stored via their bit pattern.  The simulated instruction
+   stream moves a slot as two fixed-width accesses (7 + 1 bytes: OCaml ints
+   hold 63 bits, so the top byte moves separately).
+
+   [slot_hit] lets an in-page slot skip that split: one TLB hit proves
+   both constituent accesses would hit too (same page, and nothing between
+   them can change TLB state), and with the trap flag clear both
+   [post_access] calls are no-ops.  The two per-access charges collapse
+   into one charge of the same total, so cycles, faults and event traces
+   are bit-identical to the split path; only TLB hit counts differ (one
+   probe, not two).  [Tlb.probe] counts only its hits, so a miss here
+   plus the split path's own lookup records the split path's miss + hit. *)
+let slot_hit t abit addr =
+  t.tlb_enabled
+  && (not t.cpu.Cpu.trap_flag)
+  && Vmm.Layout.page_offset addr + 8 <= page_size
+  && Tlb.probe t.cpu.Cpu.tlb
+       ~map_epoch:(Vmm.Page_table.epoch t.page_table)
+       ~pkru_epoch:t.cpu.Cpu.pkru_epoch ~pkru:t.cpu.Cpu.pkru ~access_bit:abit
+       (Vmm.Layout.page_of_addr addr)
+
+let slot_data t addr = (Tlb.cached_page t.cpu.Cpu.tlb (Vmm.Layout.page_of_addr addr)).Vmm.Page.data
+
 let read_f64 t addr =
-  let low = read_le t addr 7 in
-  let high = read_le t (addr + 7) 1 in
-  Int64.float_of_bits Int64.(logor (of_int low) (shift_left (of_int high) 56))
+  if slot_hit t Tlb.read_bit addr then begin
+    Cpu.charge t.cpu (2 * t.cpu.Cpu.cost.Cost.load);
+    Int64.float_of_bits (Bytes.get_int64_le (slot_data t addr) (Vmm.Layout.page_offset addr))
+  end
+  else begin
+    let low = read_le t addr 7 in
+    let high = read_le t (addr + 7) 1 in
+    Int64.float_of_bits Int64.(logor (of_int low) (shift_left (of_int high) 56))
+  end
 
 let write_f64 t addr f =
   let bits = Int64.bits_of_float f in
-  write_le t addr 7 Int64.(to_int (logand bits 0xFF_FFFF_FFFF_FFFFL));
-  write_le t (addr + 7) 1 Int64.(to_int (logand (shift_right_logical bits 56) 0xFFL))
-
-(* Batched slot access: one TLB probe covers both constituent fixed-width
-   accesses of an aligned 8-byte slot.  Sound because a hit proves both
-   loads (7+1 bytes, same page) would hit too — nothing between them can
-   change TLB state — and with the trap flag clear both [post_access]
-   calls are no-ops.  The two per-access charges collapse into one charge
-   of the same total, so cycles, faults and event traces are bit-identical
-   to the split path; only TLB hit counts differ (one probe, not two). *)
-let slot_page t abit addr =
-  if t.tlb_enabled && not t.cpu.Cpu.trap_flag && Vmm.Layout.page_offset addr + 8 <= page_size
-  then begin
-    let page_number = Vmm.Layout.page_of_addr addr in
-    let tlb = t.cpu.Cpu.tlb in
-    if
-      Tlb.lookup tlb
-        ~map_epoch:(Vmm.Page_table.epoch t.page_table)
-        ~pkru_epoch:t.cpu.Cpu.pkru_epoch ~pkru:t.cpu.Cpu.pkru ~access_bit:abit page_number
-    then Some (Tlb.cached_page tlb page_number)
-    else None
-  end
-  else None
-
-let read_f64_batched t addr =
-  match slot_page t Tlb.read_bit addr with
-  | Some page ->
-    Cpu.charge t.cpu (2 * t.cpu.Cpu.cost.Cost.load);
-    Int64.float_of_bits (Bytes.get_int64_le page.Vmm.Page.data (Vmm.Layout.page_offset addr))
-  | None -> read_f64 t addr
-
-let write_f64_batched t addr f =
-  match slot_page t Tlb.write_bit addr with
-  | Some page ->
+  if slot_hit t Tlb.write_bit addr then begin
     Cpu.charge t.cpu (2 * t.cpu.Cpu.cost.Cost.store);
-    Bytes.set_int64_le page.Vmm.Page.data (Vmm.Layout.page_offset addr) (Int64.bits_of_float f)
-  | None -> write_f64 t addr f
+    Bytes.set_int64_le (slot_data t addr) (Vmm.Layout.page_offset addr) bits
+  end
+  else begin
+    write_le t addr 7 Int64.(to_int (logand bits 0xFF_FFFF_FFFF_FFFFL));
+    write_le t (addr + 7) 1 Int64.(to_int (logand (shift_right_logical bits 56) 0xFFL))
+  end
 
 let read_bytes t addr len =
   let out = Bytes.create len in

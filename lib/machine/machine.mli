@@ -13,7 +13,10 @@
     walk and PKRU decode.  The TLB is architecturally invisible (no
     cycles, no events — see {!Tlb}); faults, single-stepping and demand
     paging always take the slow path, so simulated cycle counts and
-    telemetry traces are bit-identical whether it is on or off.
+    telemetry traces are bit-identical whether it is on or off.  An
+    in-page 8-byte slot access that hits takes one probe for both of its
+    constituent accesses ({!read_f64}), so TLB hit counts record one
+    probe per slot access.
 
     The [priv_*] accessors bypass checks and charging.  They model two
     things that are outside the simulated instruction stream: the kernel /
@@ -83,15 +86,13 @@ val write_u64 : t -> int -> int -> unit
 
 val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit
-
-val read_f64_batched : t -> int -> float
-val write_f64_batched : t -> int -> float -> unit
-(** Width-specialized slot access: one TLB probe covers both constituent
-    fixed-width accesses of an in-page 8-byte slot, charging the same
-    total cycles.  Bit-identical to {!read_f64}/{!write_f64} in cycles,
-    faults and event traces (falls back to the split path on a TLB miss,
-    a pending trap, a page-straddling slot, or a TLB-off machine); only
-    TLB hit counts differ (one probe instead of two). *)
+(** 8-byte slot access, simulated as two fixed-width accesses (7 + 1
+    bytes).  An in-page slot on a TLB hit with the trap flag clear takes
+    one probe for both and charges the same total; every other case
+    (TLB miss, pending trap, page-straddling slot, TLB-off machine) runs
+    the split accesses.  Cycles, faults and event traces are identical
+    either way.  TLB hit counts record one probe per slot access, not
+    two; miss counts are those of the split path. *)
 
 val read_bytes : t -> int -> int -> Bytes.t
 (** [read_bytes t addr len]; charged one load per 8 bytes. *)

@@ -96,8 +96,9 @@ let note_epochs t ~map_epoch ~pkru_epoch =
   end
 
 (* Indices are masked to [0, size), so the unsafe accessors cannot go out
-   of bounds. *)
-let lookup t ~map_epoch ~pkru_epoch ~pkru ~access_bit page_number =
+   of bounds.  [probe] counts only hits: a caller that falls back to
+   [lookup] on [false] then records exactly one miss for the access. *)
+let probe t ~map_epoch ~pkru_epoch ~pkru ~access_bit page_number =
   note_epochs t ~map_epoch ~pkru_epoch;
   let i = page_number land index_mask in
   if
@@ -110,10 +111,14 @@ let lookup t ~map_epoch ~pkru_epoch ~pkru ~access_bit page_number =
     t.hits <- t.hits + 1;
     true
   end
-  else begin
-    t.misses <- t.misses + 1;
-    false
-  end
+  else false
+
+let lookup t ~map_epoch ~pkru_epoch ~pkru ~access_bit page_number =
+  probe t ~map_epoch ~pkru_epoch ~pkru ~access_bit page_number
+  || begin
+       t.misses <- t.misses + 1;
+       false
+     end
 
 let cached_page t page_number = Array.unsafe_get t.pages (page_number land index_mask)
 

@@ -55,6 +55,18 @@ val lookup :
     {!cached_page}.  Counts one hit or miss, and one flush generation per
     epoch change first observed. *)
 
+val probe :
+  t ->
+  map_epoch:int ->
+  pkru_epoch:int ->
+  pkru:Mpk.Pkru.t ->
+  access_bit:int ->
+  int ->
+  bool
+(** {!lookup} that counts a hit but not a miss, for a caller that falls
+    back to {!lookup} on [false] (so the access records one miss, not
+    two).  Flush generations are counted as in {!lookup}. *)
+
 val cached_page : t -> int -> Vmm.Page.t
 (** The page cached in [page_number]'s slot — only meaningful immediately
     after a [lookup] that returned [true] for the same page number. *)

@@ -8,6 +8,11 @@ type t = {
   mutable resident : Mpk.Pkru.t;
       (* the view the last verified transition installed on this thread;
          what {!reverify} checks the live PKRU against on a fleet resume *)
+  mutable pkru_corruptor : (Mpk.Pkru.t -> Mpk.Pkru.t) option;
+      (* fault injection (chaos harness only): when set, the value actually
+         written by WRPKRU is the corruptor's output, while the gate still
+         verifies against the intended target — modelling a Garmr-style
+         attack where gate instructions are reused with a tampered EAX *)
 }
 
 let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
@@ -20,11 +25,13 @@ let create ?(trusted_pkey = Mpk.Pkey.of_int 1) machine =
     span_ids = [];
     resident = Mpk.Pkru.all_enabled;
     (* a fresh thread starts fully enabled, like its hart *)
+    pkru_corruptor = None;
   }
 
 let machine t = t.machine
 let trusted_pkey t = t.trusted_pkey
 let stack t = t.stack
+let set_pkru_corruptor t f = t.pkru_corruptor <- f
 
 let cpu t = t.machine.Sim.Machine.cpu
 
@@ -36,12 +43,6 @@ let ev_enter_untrusted = Telemetry.Event.Gate_enter { target = Telemetry.Event.U
 let ev_exit_untrusted = Telemetry.Event.Gate_exit { target = Telemetry.Event.Untrusted }
 let ev_enter_trusted = Telemetry.Event.Gate_enter { target = Telemetry.Event.Trusted }
 let ev_exit_trusted = Telemetry.Event.Gate_exit { target = Telemetry.Event.Trusted }
-
-(* Fault-injection hook (chaos harness only): when set, the value actually
-   written by WRPKRU is the corruptor's output, while the gate still
-   verifies against the intended target — modelling a Garmr-style attack
-   where gate instructions are reused with a tampered EAX. *)
-let chaos_pkru_corruptor : (Mpk.Pkru.t -> Mpk.Pkru.t) option ref = ref None
 
 let transition_name event =
   match event with
@@ -60,7 +61,7 @@ let transition_name event =
 let switch_to t event target =
   let cpu = cpu t in
   Sim.Cpu.charge cpu cpu.Sim.Cpu.cost.Sim.Cost.gate_bookkeeping;
-  (match !chaos_pkru_corruptor with
+  (match t.pkru_corruptor with
   | None -> Sim.Cpu.wrpkru cpu target
   | Some corrupt -> Sim.Cpu.wrpkru cpu (corrupt target));
   let now = Sim.Cpu.rdpkru cpu in

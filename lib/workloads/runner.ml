@@ -48,6 +48,25 @@ let profile_suite (suite : Bench_def.suite) =
     (fun acc bench -> Runtime.Profile.merge acc (profile_bench bench))
     (Runtime.Profile.create ()) suite.Bench_def.benches
 
+(* Injected after the timed run, never emitted from the access path, so
+   event traces and timestamps stay bit-identical with the TLB on or off;
+   only these counter values differ. *)
+let inject_counters sink ~tlb_before browser =
+  let after = Sim.Machine.tlb_stats (Pkru_safe.Env.machine (Browser.env browser)) in
+  Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.hits - tlb_before.Sim.Tlb.hits) "tlb_hit";
+  Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.misses - tlb_before.Sim.Tlb.misses) "tlb_miss";
+  Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.flushes - tlb_before.Sim.Tlb.flushes) "tlb_flush";
+  let ic = Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)) in
+  let ts = Engine.threaded_stats (Browser.engine browser) in
+  Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_hits "engine_var_ic_hit";
+  Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_misses "engine_var_ic_miss";
+  Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_hits "engine_prop_ic_hit";
+  Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_misses "engine_prop_ic_miss";
+  Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.super_execs "engine_super_exec";
+  let sel = Browser.selector_stats browser in
+  Telemetry.Sink.incr sink ~by:sel.Browser.sel_hits "engine_selector_hit";
+  Telemetry.Sink.incr sink ~by:sel.Browser.sel_misses "engine_selector_miss"
+
 let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation ?engine_tier
     ~mode ~profile (bench : Bench_def.bench) =
   let env =
@@ -86,30 +105,9 @@ let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation
   let trace =
     if telemetry then begin
       let sink = Telemetry.Sink.create () in
-      let machine = Pkru_safe.Env.machine env in
-      let before = Sim.Machine.tlb_stats machine in
+      let tlb_before = Sim.Machine.tlb_stats (Pkru_safe.Env.machine env) in
       Telemetry.Sink.with_sink sink exec;
-      (* TLB counters are injected after the timed run, never emitted from
-         the access path, so event traces and timestamps stay bit-identical
-         with the TLB on or off; only these counter values differ. *)
-      let after = Sim.Machine.tlb_stats machine in
-      Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.hits - before.Sim.Tlb.hits) "tlb_hit";
-      Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.misses - before.Sim.Tlb.misses) "tlb_miss";
-      Telemetry.Sink.incr sink ~by:(after.Sim.Tlb.flushes - before.Sim.Tlb.flushes) "tlb_flush";
-      (* Engine fast-tier counters, injected the same way (post-run, never
-         from the execution path): inline-cache hit/miss digests and
-         superinstruction executions.  All zero on the AST and reference
-         bytecode tiers. *)
-      let ic = Engine.Eval.ic_stats (Engine.evaluator (Browser.engine browser)) in
-      let ts = Engine.threaded_stats (Browser.engine browser) in
-      Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_hits "engine_var_ic_hit";
-      Telemetry.Sink.incr sink ~by:ic.Engine.Eval.var_misses "engine_var_ic_miss";
-      Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_hits "engine_prop_ic_hit";
-      Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.prop_misses "engine_prop_ic_miss";
-      Telemetry.Sink.incr sink ~by:ts.Engine.Threaded.super_execs "engine_super_exec";
-      let sel = Browser.selector_stats browser in
-      Telemetry.Sink.incr sink ~by:sel.Browser.sel_hits "engine_selector_hit";
-      Telemetry.Sink.incr sink ~by:sel.Browser.sel_misses "engine_selector_miss";
+      inject_counters sink ~tlb_before browser;
       Some sink
     end
     else begin

@@ -55,6 +55,17 @@ val profile_bench : ?engine_tier:Engine.tier -> Bench_def.bench -> Runtime.Profi
 (** One profiling run (used by the dispatch-equivalence tests to exercise
     the fault + single-step path under a chosen tier). *)
 
+val inject_counters : Telemetry.Sink.t -> tlb_before:Sim.Tlb.stats -> Browser.t -> unit
+(** [inject_counters sink ~tlb_before browser] adds a finished run's
+    host-side counters to [sink]: the machine's TLB deltas since
+    [tlb_before] as ["tlb_hit"]/["tlb_miss"]/["tlb_flush"], and the
+    engine's totals as ["engine_var_ic_hit"/"engine_var_ic_miss"/
+    "engine_prop_ic_hit"/"engine_prop_ic_miss"/"engine_super_exec"/
+    "engine_selector_hit"/"engine_selector_miss"] (IC and
+    superinstruction counters are zero outside the fast tier).  Called
+    after the run, never from the access path, so event traces stay
+    bit-identical with the TLB on or off. *)
+
 val run_config :
   ?telemetry:bool ->
   ?sample_every:int ->
@@ -69,11 +80,8 @@ val run_config :
 (** One benchmark under one configuration (fresh machine; counters are
     reset after page load so the script execution is what is timed).
     With [~telemetry:true] a fresh sink is installed for the duration of
-    the timed script and returned in the measurement's [trace] field; the
-    machine's TLB hit/miss/flush deltas over the timed run are injected as
-    the sink counters ["tlb_hit"]/["tlb_miss"]/["tlb_flush"] after it
-    finishes (never from the access path, so traces stay bit-identical
-    TLB on or off).  With [~sample_every:n] a {!Telemetry.Sampler}
+    the timed script and returned in the measurement's [trace] field,
+    with {!inject_counters} applied after it finishes.  With [~sample_every:n] a {!Telemetry.Sampler}
     snapshots the thread's compartment stack every [n] simulated cycles
     and is returned in [samples].  With [~census_every:n] a
     {!Telemetry.Census} snapshots the heap every [n] simulated cycles
@@ -83,11 +91,7 @@ val run_config :
     [tlb] forwards to {!Pkru_safe.Config.make} (default on), as does
     [mitigation] (a fault-recovery policy for [Mpk] runs; default none).
     [engine_tier] selects the engine execution tier for the timed script
-    (default AST); with telemetry on, engine IC hit/miss and
-    superinstruction counters are injected post-run as
-    ["engine_var_ic_hit"/"engine_var_ic_miss"/"engine_prop_ic_hit"/
-    "engine_prop_ic_miss"/"engine_super_exec"/"engine_selector_hit"/
-    "engine_selector_miss"] — all zero outside the fast tier. *)
+    (default AST). *)
 
 val run_bench :
   ?telemetry:bool ->

@@ -51,6 +51,109 @@ let prop_f64_roundtrip =
       let f' = Sim.Machine.read_f64 m base in
       Int64.bits_of_float f = Int64.bits_of_float f')
 
+(* --- 8-byte slots: one TLB probe on a hit, the split 7+1 path otherwise --- *)
+
+let tlb_hits m = (Sim.Machine.tlb_stats m).Sim.Tlb.hits
+let cost = Sim.Cost.default
+
+(* A cold page records what the split path records (one miss, then one
+   hit for the second constituent access); a warm slot adds one hit. *)
+let test_slot_tlb_counts () =
+  let m = machine_with_region ~pkey:(key 0) ~base () in
+  ignore (Sim.Machine.read_f64 m base);
+  let s1 = Sim.Machine.tlb_stats m in
+  Alcotest.(check int) "cold: one miss" 1 s1.Sim.Tlb.misses;
+  Alcotest.(check int) "cold: one hit" 1 s1.Sim.Tlb.hits;
+  ignore (Sim.Machine.read_f64 m (base + 8));
+  let s2 = Sim.Machine.tlb_stats m in
+  Alcotest.(check int) "warm: no new miss" 1 s2.Sim.Tlb.misses;
+  Alcotest.(check int) "warm: exactly one more hit" 2 s2.Sim.Tlb.hits;
+  (* The same two constituent accesses, issued one by one, observe the
+     same invalidation generations. *)
+  let split = machine_with_region ~pkey:(key 0) ~base () in
+  ignore (Sim.Machine.read_u32 split base);
+  ignore (Sim.Machine.read_u8 split (base + 7));
+  Alcotest.(check int) "flushes as on the split path"
+    (Sim.Machine.tlb_stats split).Sim.Tlb.flushes s2.Sim.Tlb.flushes
+
+(* A slot on a TLB hit charges exactly two loads or two stores, and its
+   cycles and bytes match a machine that never uses the TLB. *)
+let test_slot_hit_matches_tlb_off () =
+  let run ~tlb =
+    let m = Sim.Machine.create ~tlb () in
+    ok (Vmm.Page_table.reserve m.Sim.Machine.page_table ~base ~size:page
+          ~prot:Vmm.Prot.read_write ~pkey:(key 1));
+    Sim.Machine.write_f64 m base 0.0;
+    let c0 = Sim.Machine.cycles m and h0 = tlb_hits m in
+    Sim.Machine.write_f64 m (base + 16) (-2.5e-7);
+    let write_cycles = Sim.Machine.cycles m - c0 in
+    let c1 = Sim.Machine.cycles m in
+    let v = Sim.Machine.read_f64 m (base + 16) in
+    let read_cycles = Sim.Machine.cycles m - c1 in
+    (write_cycles, read_cycles, tlb_hits m - h0, v,
+     Sim.Machine.priv_read_bytes m base 32)
+  in
+  let w_on, r_on, probes_on, v_on, bytes_on = run ~tlb:true in
+  let w_off, r_off, _, v_off, bytes_off = run ~tlb:false in
+  Alcotest.(check int) "one probe per slot access" 2 probes_on;
+  Alcotest.(check int) "write charges 2 stores" (2 * cost.Sim.Cost.store) w_on;
+  Alcotest.(check int) "read charges 2 loads" (2 * cost.Sim.Cost.load) r_on;
+  Alcotest.(check int) "write cycles as tlb-off" w_off w_on;
+  Alcotest.(check int) "read cycles as tlb-off" r_off r_on;
+  Alcotest.(check (float 0.0)) "value" (-2.5e-7) v_on;
+  Alcotest.(check (float 0.0)) "value as tlb-off" v_off v_on;
+  Alcotest.(check string) "bytes as tlb-off" (Bytes.to_string bytes_off)
+    (Bytes.to_string bytes_on)
+
+(* A slot across a page boundary makes three accesses (3 + 4 bytes, then
+   the top byte), each with its own probe and charge. *)
+let test_slot_straddle_splits () =
+  let m = machine_with_region ~pkey:(key 0) ~base () in
+  let addr = base + page - 3 in
+  Sim.Machine.write_f64 m addr 1.25;
+  let c0 = Sim.Machine.cycles m and h0 = tlb_hits m in
+  Alcotest.(check (float 0.0)) "round-trip" 1.25 (Sim.Machine.read_f64 m addr);
+  Alcotest.(check int) "three loads" (3 * cost.Sim.Cost.load) (Sim.Machine.cycles m - c0);
+  Alcotest.(check int) "three probes" 3 (tlb_hits m - h0)
+
+(* With the trap flag set the slot takes the split path: the trap fires
+   once, after the first constituent access has completed. *)
+let test_slot_trap_splits () =
+  let m = machine_with_region ~pkey:(key 0) ~base () in
+  Sim.Machine.write_f64 m base 6.5;
+  let c0 = Sim.Machine.cycles m and h0 = tlb_hits m in
+  let fired_at = ref [] in
+  Sim.Signals.register_trap m.Sim.Machine.signals (fun () ->
+      fired_at := (Sim.Machine.cycles m - c0) :: !fired_at);
+  m.Sim.Machine.cpu.Sim.Cpu.trap_flag <- true;
+  Alcotest.(check (float 0.0)) "value" 6.5 (Sim.Machine.read_f64 m base);
+  Alcotest.(check (list int)) "trap fired once, after the access"
+    [ cost.Sim.Cost.load + cost.Sim.Cost.signal_dispatch ]
+    !fired_at;
+  Alcotest.(check int) "split path cycles"
+    ((2 * cost.Sim.Cost.load) + cost.Sim.Cost.signal_dispatch)
+    (Sim.Machine.cycles m - c0);
+  Alcotest.(check int) "two probes" 2 (tlb_hits m - h0)
+
+(* A cached slot translation does not survive a PKRU write. *)
+let test_slot_pkru_write_faults () =
+  let m = machine_with_region ~base () in
+  Sim.Machine.write_f64 m base 3.0;
+  Alcotest.(check (float 0.0)) "cached read" 3.0 (Sim.Machine.read_f64 m base);
+  Sim.Cpu.wrpkru m.Sim.Machine.cpu (Mpk.Pkru.all_disabled_except []);
+  (match Sim.Machine.read_f64 m base with
+  | exception Vmm.Fault.Unhandled { Vmm.Fault.kind = Vmm.Fault.Pkey_violation k; _ } ->
+    Alcotest.(check int) "read faults on key 1" 1 (Mpk.Pkey.to_int k)
+  | _ -> Alcotest.fail "read after WRPKRU should fault");
+  Sim.Cpu.wrpkru m.Sim.Machine.cpu Mpk.Pkru.all_enabled;
+  Alcotest.(check (float 0.0)) "re-enabled read" 3.0 (Sim.Machine.read_f64 m base);
+  (* A direct store (no epoch bump) write-disables the key. *)
+  m.Sim.Machine.cpu.Sim.Cpu.pkru <-
+    Mpk.Pkru.set_rights Mpk.Pkru.all_enabled (key 1) Mpk.Pkru.Disable_write;
+  match Sim.Machine.write_f64 m base 4.0 with
+  | exception Vmm.Fault.Unhandled { Vmm.Fault.kind = Vmm.Fault.Pkey_violation _; _ } -> ()
+  | _ -> Alcotest.fail "write after a write-disabling PKRU store should fault"
+
 let test_bytes_helpers () =
   let m = machine_with_region ~pkey:(key 0) ~base () in
   Sim.Machine.write_string m base "hello, pkru";
@@ -332,6 +435,11 @@ let suite =
     Alcotest.test_case "page-straddling access" `Quick test_straddling_access;
     Alcotest.test_case "f64 round-trip" `Quick test_f64_roundtrip;
     QCheck_alcotest.to_alcotest prop_f64_roundtrip;
+    Alcotest.test_case "slot: tlb counts" `Quick test_slot_tlb_counts;
+    Alcotest.test_case "slot: hit matches tlb-off" `Quick test_slot_hit_matches_tlb_off;
+    Alcotest.test_case "slot: straddle splits" `Quick test_slot_straddle_splits;
+    Alcotest.test_case "slot: trap flag splits" `Quick test_slot_trap_splits;
+    Alcotest.test_case "slot: pkru write faults" `Quick test_slot_pkru_write_faults;
     Alcotest.test_case "bytes helpers" `Quick test_bytes_helpers;
     Alcotest.test_case "unmapped access faults" `Quick test_unmapped_faults;
     Alcotest.test_case "prot violation" `Quick test_prot_violation;

@@ -34,29 +34,46 @@ let trace_json sink =
    must produce identical simulated cycles, gate transitions and event
    traces with the TLB on and off.  (Sink counters are excluded: the
    runner's injected tlb_* counters differ by design.)  Profiling mode
-   additionally exercises the fault + single-step path. *)
+   additionally exercises the fault + single-step path.  The fft kernel
+   is slot-heavy: with the TLB on, its array traffic takes the machine's
+   one-probe slot path, which the TLB-off run never does, so this is the
+   check of that path against the split accesses on both engine tiers. *)
 let check_equivalence mode () =
-  let bench =
+  let dom =
     Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:6) "tlb-eq"
       (Workloads.Dom_scripts.dom_attr ~iters:12)
   in
-  let suite = { Workloads.Bench_def.suite_name = "tlb-eq"; benches = [ bench ] } in
-  let profile = Workloads.Runner.profile_suite suite in
-  let run tlb = Workloads.Runner.run_config ~telemetry:true ~tlb ~mode ~profile bench in
-  let on = run true in
-  let off = run false in
-  Alcotest.(check int) "cycles identical" off.Workloads.Runner.cycles on.Workloads.Runner.cycles;
-  Alcotest.(check int) "transitions identical" off.Workloads.Runner.transitions
-    on.Workloads.Runner.transitions;
-  match (on.Workloads.Runner.trace, off.Workloads.Runner.trace) with
-  | Some s_on, Some s_off ->
-    Alcotest.(check int) "events_total identical" (Telemetry.Sink.events_total s_off)
-      (Telemetry.Sink.events_total s_on);
-    Alcotest.(check string) "event trace bit-identical" (trace_json s_off) (trace_json s_on);
-    Alcotest.(check bool) "tlb-on run actually hit" true
-      (Telemetry.Sink.count s_on "tlb_hit" > 0);
-    Alcotest.(check int) "tlb-off run never hit" 0 (Telemetry.Sink.count s_off "tlb_hit")
-  | _ -> Alcotest.fail "expected traces from both runs"
+  let fft = Workloads.Bench_def.bench "tlb-eq-fft" (Workloads.Kernels.fft ~n:32) in
+  List.iter
+    (fun (label, bench, tier) ->
+      let suite = { Workloads.Bench_def.suite_name = "tlb-eq"; benches = [ bench ] } in
+      let profile = Workloads.Runner.profile_suite suite in
+      let run tlb =
+        Workloads.Runner.run_config ~telemetry:true ~tlb ~engine_tier:tier ~mode ~profile bench
+      in
+      let on = run true in
+      let off = run false in
+      let check_int what = Alcotest.(check int) (label ^ ": " ^ what) in
+      check_int "cycles identical" off.Workloads.Runner.cycles on.Workloads.Runner.cycles;
+      check_int "transitions identical" off.Workloads.Runner.transitions
+        on.Workloads.Runner.transitions;
+      Alcotest.(check (list string)) (label ^ ": output identical") off.Workloads.Runner.output
+        on.Workloads.Runner.output;
+      match (on.Workloads.Runner.trace, off.Workloads.Runner.trace) with
+      | Some s_on, Some s_off ->
+        check_int "events_total identical" (Telemetry.Sink.events_total s_off)
+          (Telemetry.Sink.events_total s_on);
+        Alcotest.(check string) (label ^ ": event trace bit-identical") (trace_json s_off)
+          (trace_json s_on);
+        Alcotest.(check bool) (label ^ ": tlb-on run actually hit") true
+          (Telemetry.Sink.count s_on "tlb_hit" > 0);
+        check_int "tlb-off run never hit" 0 (Telemetry.Sink.count s_off "tlb_hit")
+      | _ -> Alcotest.fail "expected traces from both runs")
+    [
+      ("dom-attr", dom, Engine.Ast_tier);
+      ("fft/ast", fft, Engine.Ast_tier);
+      ("fft/threaded", fft, Engine.Threaded_tier);
+    ]
 
 (* Machine-level equivalence on the profiler's fault + trap-flag path:
    every access faults, is single-stepped with a permissive PKRU, and the
