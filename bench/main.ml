@@ -803,6 +803,10 @@ let fleet_point ~sessions ~cpus jobs =
          sessions r.Fleet.r_oom r.Fleet.r_failed);
   (r, wall)
 
+(* Real sessions per host second, from the wall time measured around
+   [Fleet.run] (the result itself carries only virtual time). *)
+let host_sps ((r : Fleet.result), wall) = float_of_int r.Fleet.r_sessions /. wall
+
 (* The scaling table (1k at 1/2/4 CPUs, 10k at 4) plus the 100k smoke.
    Shared by the printed section and fleet.json. *)
 let fleet_runs =
@@ -860,24 +864,30 @@ let fleet_identity =
 
 let run_fleet () =
   header "Fleet: N concurrent sessions, per-CPU run queues, cooperative scheduling";
-  let scale, (smoke, smoke_wall) = Lazy.force fleet_runs in
+  let scale, smoke = Lazy.force fleet_runs in
   Util.Table.print
     ~header:
-      [ "sessions"; "cpus"; "sessions/sec"; "p50 latency"; "p99 latency"; "yields"; "steals";
-        "host wall" ]
+      [ "sessions"; "cpus"; "virtual sessions/sec"; "host sessions/sec"; "p50 latency";
+        "p99 latency"; "yields"; "steals"; "host wall" ]
     (List.map
-       (fun ((r : Fleet.result), wall) ->
+       (fun (((r : Fleet.result), wall) as point) ->
          [
            string_of_int r.Fleet.r_sessions;
            string_of_int r.Fleet.r_cpus;
            Printf.sprintf "%.0f" r.Fleet.r_sessions_per_sec;
+           Printf.sprintf "%.0f" (host_sps point);
            Printf.sprintf "%.0fns" r.Fleet.r_p50_latency_ns;
            Printf.sprintf "%.0fns" r.Fleet.r_p99_latency_ns;
            string_of_int r.Fleet.r_yields;
            string_of_int r.Fleet.r_steals;
            Printf.sprintf "%.2fs" wall;
          ])
-       (scale @ [ (smoke, smoke_wall) ]));
+       scale);
+  (let (r : Fleet.result), wall = smoke in
+   Printf.printf
+     "smoke: %d tiny sessions on %d CPUs: %.0f virtual sessions/sec, %.0f host sessions/sec \
+      (%.2fs host wall)\n"
+     r.Fleet.r_sessions r.Fleet.r_cpus r.Fleet.r_sessions_per_sec (host_sps smoke) wall);
   (* Throughput must scale: 4 CPUs at least 2x 1 CPU on the same 1k
      workload (a hard gate — the simulated scheduler has no contention
      excuse for less). *)
@@ -917,17 +927,23 @@ let run_fleet () =
     ident_cycles ident_yields
 
 let fleet_json () =
-  let scale, (smoke, smoke_wall) = Lazy.force fleet_runs in
+  let scale, smoke = Lazy.force fleet_runs in
   let ident_cycles, ident_yields = Lazy.force fleet_identity in
-  let point ((r : Fleet.result), wall) =
+  let point (((r : Fleet.result), wall) as run) =
     match Fleet.to_json r with
-    | Util.Json.Obj fields -> Util.Json.Obj (fields @ [ ("host_wall_s", Util.Json.Float wall) ])
+    | Util.Json.Obj fields ->
+      Util.Json.Obj
+        (fields
+        @ [
+            ("host_wall_s", Util.Json.Float wall);
+            ("host_sessions_per_s", Util.Json.Float (host_sps run));
+          ])
     | other -> other
   in
   Util.Json.Obj
     [
       ("scaling", Util.Json.List (List.map point scale));
-      ("smoke_100k", point (smoke, smoke_wall));
+      ("smoke_100k", point smoke);
       ( "single_session_identity",
         Util.Json.Obj
           [

@@ -938,13 +938,16 @@ let fleet_format_conv =
         Format.pp_print_string fmt
           (match f with `Table -> "table" | `Json -> "json" | `Prom -> "prom") )
 
-let fleet_table (r : Fleet.result) =
+(* [host_sps] is measured by the caller around [Fleet.run]: it is host
+   wall-clock time, so it stays out of the deterministic [Fleet.result]. *)
+let fleet_table ~host_sps (r : Fleet.result) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "fleet: %d session(s) over %d CPU(s), timeslice %d ticks\n" r.Fleet.r_sessions
     r.Fleet.r_cpus r.Fleet.r_timeslice;
   add "  makespan        %d cycles\n" r.Fleet.r_makespan_cycles;
-  add "  throughput      %.1f sessions/sec\n" r.Fleet.r_sessions_per_sec;
+  add "  throughput      %.1f sessions/sec virtual, %.1f host sessions/sec\n"
+    r.Fleet.r_sessions_per_sec host_sps;
   add "  latency         p50 %.0f ns, p99 %.0f ns\n" r.Fleet.r_p50_latency_ns
     r.Fleet.r_p99_latency_ns;
   add "  work            %d cycles across sessions, %d yield(s), %d steal(s)\n"
@@ -971,13 +974,15 @@ let run_fleet bench_name sessions cpus timeslice max_live page_budget mode tier 
       (* Enforcement modes need a profile; collect it from the same
          workload first, exactly as `browse` does. *)
       let profile = profile_for ~mode bench in
+      let t0 = Unix.gettimeofday () in
       let r =
         Fleet.run ~mode ~profile ~cpus ~timeslice ~max_live ?page_budget ~tier ~sessions
           [ Fleet.job_of_bench bench ]
       in
+      let host_sps = float_of_int sessions /. (Unix.gettimeofday () -. t0) in
       let rendered =
         match format with
-        | `Table -> fleet_table r
+        | `Table -> fleet_table ~host_sps r
         | `Json -> Util.Json.to_string_pretty (Fleet.to_json ~per_session r) ^ "\n"
         | `Prom -> Telemetry.Metrics.expose (Fleet.metrics r)
       in

@@ -19,6 +19,7 @@ type t = {
   machine : Sim.Machine.t;
   pool : Pool.t;
   bins : int array; (* head chunk address per bin; 0 = empty *)
+  binmap : int array; (* bit per bin, set iff the bin is non-empty *)
   live : (int, unit) Hashtbl.t; (* payload address -> () *)
   mutable segments : segment list;
   stats : Alloc_stats.t;
@@ -29,11 +30,18 @@ let min_chunk = 32
 let default_segment_pages = 16
 let cost_op_overhead = 20
 
+(* The binmap is a host-side index over [bins]: it lets [find_fit] skip
+   empty bins without touching simulated memory, exactly as a bin whose
+   head is 0 costs no simulated read.  48 bins per OCaml int word. *)
+let bins_per_word = 48
+let binmap_words = (bin_count + bins_per_word - 1) / bins_per_word
+
 let create machine pool =
   {
     machine;
     pool;
     bins = Array.make bin_count 0;
+    binmap = Array.make binmap_words 0;
     live = Hashtbl.create 256;
     segments = [];
     stats = Alloc_stats.create ();
@@ -60,6 +68,35 @@ let bin_index size =
   let size16 = size lsr 4 in
   if size16 < 64 then size16 else 64 + min 31 (log2 (size / 1024))
 
+let bin_bit b = 1 lsl (b mod bins_per_word)
+
+let mark_bin t b =
+  let w = b / bins_per_word in
+  t.binmap.(w) <- t.binmap.(w) lor bin_bit b
+
+let clear_bin t b =
+  let w = b / bins_per_word in
+  t.binmap.(w) <- t.binmap.(w) land lnot (bin_bit b)
+
+let bin_marked t b = t.binmap.(b / bins_per_word) land bin_bit b <> 0
+
+(* Index of the lowest set bit of a non-zero word. *)
+let lowest_bit m =
+  let rec go m n width =
+    if width = 0 then n
+    else if m land ((1 lsl width) - 1) = 0 then go (m lsr width) (n + width) (width / 2)
+    else go m n (width / 2)
+  in
+  go m 0 32
+
+(* The first non-empty bin at or above [b]; [bin_count] when none. *)
+let rec next_bin t b =
+  if b >= bin_count then bin_count
+  else
+    let w = b / bins_per_word in
+    let m = t.binmap.(w) land (-1 lsl (b mod bins_per_word)) in
+    if m <> 0 then (w * bins_per_word) + lowest_bit m else next_bin t ((w + 1) * bins_per_word)
+
 (* Free-list surgery; fwd lives at c+8, bck at c+16. *)
 
 let insert_free t c size =
@@ -68,13 +105,18 @@ let insert_free t c size =
   write t (c + 8) head;
   write t (c + 16) 0;
   if head <> 0 then write t (head + 16) c;
-  t.bins.(b) <- c
+  t.bins.(b) <- c;
+  mark_bin t b
 
 let unlink_free t c size =
   let b = bin_index size in
   let fwd = read t (c + 8) in
   let bck = read t (c + 16) in
-  if bck = 0 then t.bins.(b) <- fwd else write t (bck + 8) fwd;
+  if bck = 0 then begin
+    t.bins.(b) <- fwd;
+    if fwd = 0 then clear_bin t b
+  end
+  else write t (bck + 8) fwd;
   if fwd <> 0 then write t (fwd + 16) bck
 
 let new_segment t min_bytes =
@@ -93,20 +135,19 @@ let new_segment t min_bytes =
     t.segments <- { seg_base = base; seg_len = len } :: t.segments;
     true
 
-(* First fit: scan bins from the request's bin upward, walking each list. *)
-let find_fit t req =
-  let rec scan_bin b =
-    if b >= bin_count then None
-    else
-      let rec walk c =
-        if c = 0 then scan_bin (b + 1)
-        else
-          let hdr = read t c in
-          if chunk_size hdr >= req then Some (c, chunk_size hdr) else walk (read t (c + 8))
-      in
-      walk t.bins.(b)
-  in
-  scan_bin (bin_index req)
+(* First fit: scan the non-empty bins from the request's bin upward,
+   walking each list. *)
+let rec scan_bin t req b =
+  let b = next_bin t b in
+  if b >= bin_count then None else walk_bin t req b t.bins.(b)
+
+and walk_bin t req b c =
+  if c = 0 then scan_bin t req (b + 1)
+  else
+    let hdr = read t c in
+    if chunk_size hdr >= req then Some (c, chunk_size hdr) else walk_bin t req b (read t (c + 8))
+
+let find_fit t req = scan_bin t req (bin_index req)
 
 let alloc t size =
   if size <= 0 then invalid_arg "Dlmalloc_model.alloc: non-positive size";
@@ -260,6 +301,8 @@ let check_heap t =
     let binned = Hashtbl.create 64 in
     Array.iteri
       (fun b head ->
+        if bin_marked t b <> (head <> 0) then
+          raise (Bad (Printf.sprintf "bin %d: binmap bit disagrees with head 0x%x" b head));
         let rec walk c steps =
           if c <> 0 then begin
             if steps > 1_000_000 then raise (Bad (Printf.sprintf "bin %d: cycle" b));

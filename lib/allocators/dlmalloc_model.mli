@@ -41,4 +41,5 @@ val stats : t -> Alloc_stats.t
 
 val check_heap : t -> (unit, string) result
 (** Walks every segment validating boundary tags, footers, sentinels and
-    free-list membership — used by the property tests. *)
+    free-list membership, and checks that the host-side binmap marks
+    exactly the non-empty bins — used by the property tests. *)

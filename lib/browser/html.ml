@@ -13,63 +13,67 @@ type cursor = { src : string; mutable pos : int }
 
 let fail cur msg = raise (Html_error (Printf.sprintf "%s at offset %d" msg cur.pos))
 
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
+(* The byte at the cursor as an int code, or [eof] past the end, so
+   peeking allocates nothing. *)
+let eof = -1
+
+let peek cur = if cur.pos < String.length cur.src then Char.code cur.src.[cur.pos] else eof
+
+let at cur c = peek cur = Char.code c
 
 let advance cur = cur.pos <- cur.pos + 1
 
 let is_name_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '-' || c = '_'
 
+let at_name_char cur =
+  let c = peek cur in
+  c <> eof && is_name_char (Char.unsafe_chr c)
+
 let rec skip_ws cur =
-  match peek cur with
-  | Some (' ' | '\t' | '\n' | '\r') ->
+  if at cur ' ' || at cur '\t' || at cur '\n' || at cur '\r' then begin
     advance cur;
     skip_ws cur
-  | _ -> ()
+  end
 
 let read_name cur =
   let start = cur.pos in
-  let rec loop () =
-    match peek cur with
-    | Some c when is_name_char c ->
-      advance cur;
-      loop ()
-    | _ -> ()
-  in
-  loop ();
+  while at_name_char cur do
+    advance cur
+  done;
   if cur.pos = start then fail cur "expected a name";
   String.sub cur.src start (cur.pos - start)
 
 let read_attrs cur =
   let rec loop acc =
     skip_ws cur;
-    match peek cur with
-    | Some c when is_name_char c ->
+    if at_name_char cur then begin
       let name = read_name cur in
       skip_ws cur;
-      (match peek cur with
-      | Some '=' ->
+      if at cur '=' then begin
         advance cur;
         skip_ws cur;
-        (match peek cur with
-        | Some '"' ->
+        if at cur '"' then begin
           advance cur;
           let start = cur.pos in
           let rec to_quote () =
-            match peek cur with
-            | Some '"' -> ()
-            | Some _ ->
+            let c = peek cur in
+            if c = eof then fail cur "unterminated attribute value"
+            else if c <> Char.code '"' then begin
               advance cur;
               to_quote ()
-            | None -> fail cur "unterminated attribute value"
+            end
           in
           to_quote ();
           let value = String.sub cur.src start (cur.pos - start) in
           advance cur;
           loop ((name, value) :: acc)
-        | _ -> fail cur "expected a quoted attribute value")
-      | _ -> loop ((name, "") :: acc))
-    | _ -> List.rev acc
+        end
+        else fail cur "expected a quoted attribute value"
+      end
+      else loop ((name, "") :: acc)
+    end
+    else List.rev acc
   in
   loop []
 
@@ -77,21 +81,18 @@ let read_attrs cur =
 let rec parse_nodes cur stop_tag =
   let nodes = ref [] in
   let rec loop () =
-    match peek cur with
-    | None ->
-      (match stop_tag with
+    if peek cur = eof then (
+      match stop_tag with
       | None -> ()
       | Some tag -> fail cur (Printf.sprintf "missing </%s>" tag))
-    | Some '<' ->
+    else if at cur '<' then
       if cur.pos + 1 < String.length cur.src && cur.src.[cur.pos + 1] = '/' then begin
         (* Closing tag: consume and verify against the stop tag. *)
         advance cur;
         advance cur;
         let name = read_name cur in
         skip_ws cur;
-        (match peek cur with
-        | Some '>' -> advance cur
-        | _ -> fail cur "expected '>' in closing tag");
+        if at cur '>' then advance cur else fail cur "expected '>' in closing tag";
         match stop_tag with
         | Some tag when tag = name -> ()
         | Some tag -> fail cur (Printf.sprintf "expected </%s>, found </%s>" tag name)
@@ -102,34 +103,31 @@ let rec parse_nodes cur stop_tag =
         let name = read_name cur in
         let attrs = read_attrs cur in
         skip_ws cur;
-        (match peek cur with
-        | Some '/' ->
+        if at cur '/' then begin
           advance cur;
-          (match peek cur with
-          | Some '>' ->
+          if at cur '>' then begin
             advance cur;
             nodes := Element (name, attrs, []) :: !nodes
-          | _ -> fail cur "expected '>' after '/'")
-        | Some '>' ->
+          end
+          else fail cur "expected '>' after '/'"
+        end
+        else if at cur '>' then begin
           advance cur;
           let kids = parse_nodes cur (Some name) in
           nodes := Element (name, attrs, kids) :: !nodes
-        | _ -> fail cur "expected '>' in opening tag");
+        end
+        else fail cur "expected '>' in opening tag";
         loop ()
       end
-    | Some _ ->
+    else begin
       let start = cur.pos in
-      let rec to_tag () =
-        match peek cur with
-        | Some '<' | None -> ()
-        | Some _ ->
-          advance cur;
-          to_tag ()
-      in
-      to_tag ();
+      while peek cur <> eof && not (at cur '<') do
+        advance cur
+      done;
       let text = String.sub cur.src start (cur.pos - start) in
       if String.trim text <> "" then nodes := Text text :: !nodes;
       loop ()
+    end
   in
   loop ();
   List.rev !nodes

@@ -18,176 +18,220 @@ let () =
     | Lex_error msg -> Some ("Lexer.Lex_error: " ^ msg)
     | _ -> None)
 
-let keywords =
-  [ "var"; "function"; "if"; "else"; "while"; "for"; "return"; "break"; "continue";
-    "true"; "false"; "null"; "new" ]
+let keyword_or_ident word =
+  match word with
+  | "var" | "function" | "if" | "else" | "while" | "for" | "return" | "break" | "continue"
+  | "true" | "false" | "null" | "new" ->
+    Keyword word
+  | _ -> Ident word
 
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
 let is_ident_char c = is_ident_start c || is_digit c
 
-(* Two- and one-character punctuators, longest match first. *)
-let puncts2 = [ "=="; "!="; "<="; ">="; "&&"; "||"; "+="; "-="; "*="; "/="; "%="; "<<"; ">>" ]
-let puncts1 = [ "+"; "-"; "*"; "/"; "%"; "<"; ">"; "="; "!"; "("; ")"; "{"; "}"; "["; "]";
-                ";"; ","; "."; ":"; "?"; "&"; "|"; "^"; "~" ]
+(* Two- and one-character punctuators; [""] when there is none.  The
+   results are literals, so matching a punctuator allocates nothing. *)
+let punct2 c c2 =
+  match (c, c2) with
+  | '=', '=' -> "=="
+  | '!', '=' -> "!="
+  | '<', '=' -> "<="
+  | '>', '=' -> ">="
+  | '&', '&' -> "&&"
+  | '|', '|' -> "||"
+  | '+', '=' -> "+="
+  | '-', '=' -> "-="
+  | '*', '=' -> "*="
+  | '/', '=' -> "/="
+  | '%', '=' -> "%="
+  | '<', '<' -> "<<"
+  | '>', '>' -> ">>"
+  | _ -> ""
+
+let punct1 = function
+  | '+' -> "+" | '-' -> "-" | '*' -> "*" | '/' -> "/" | '%' -> "%" | '<' -> "<" | '>' -> ">"
+  | '=' -> "=" | '!' -> "!" | '(' -> "(" | ')' -> ")" | '{' -> "{" | '}' -> "}" | '[' -> "["
+  | ']' -> "]" | ';' -> ";" | ',' -> "," | '.' -> "." | ':' -> ":" | '?' -> "?" | '&' -> "&"
+  | '|' -> "|" | '^' -> "^" | '~' -> "~"
+  | _ -> ""
 
 type cursor = {
   heap : Value.heap;
   src : Value.str;
   mutable pos : int;
   mutable line : int;
+  buf : Buffer.t; (* the literal or word being scanned *)
 }
 
+(* A peek is one checked byte load, or [eof] (no load) past the end.
+   [char_of] turns a peeked byte into a char for matching; it is only
+   applied once [eof] has been ruled out. *)
+let eof = -1
+
 let peek cur =
-  if cur.pos >= cur.src.Value.s_len then None
-  else Some (Char.chr (Value.str_get cur.heap cur.src cur.pos))
+  if cur.pos >= cur.src.Value.s_len then eof else Value.str_get cur.heap cur.src cur.pos
 
 let peek2 cur =
-  if cur.pos + 1 >= cur.src.Value.s_len then None
-  else Some (Char.chr (Value.str_get cur.heap cur.src (cur.pos + 1)))
+  if cur.pos + 1 >= cur.src.Value.s_len then eof
+  else Value.str_get cur.heap cur.src (cur.pos + 1)
+
+let char_of = Char.unsafe_chr
+
+let is_byte b c = b = Char.code c
 
 let advance cur =
-  (match peek cur with
-  | Some '\n' -> cur.line <- cur.line + 1
-  | _ -> ());
+  if is_byte (peek cur) '\n' then cur.line <- cur.line + 1;
   cur.pos <- cur.pos + 1
 
 let fail cur msg = raise (Lex_error (Printf.sprintf "line %d: %s" cur.line msg))
 
 let rec skip_trivia cur =
-  match peek cur with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance cur;
-    skip_trivia cur
-  | Some '/' when peek2 cur = Some '/' ->
-    let rec to_eol () =
-      match peek cur with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance cur;
-        to_eol ()
-    in
-    to_eol ();
-    skip_trivia cur
-  | Some '/' when peek2 cur = Some '*' ->
-    advance cur;
-    advance cur;
-    let rec to_close () =
-      match (peek cur, peek2 cur) with
-      | Some '*', Some '/' ->
-        advance cur;
-        advance cur
-      | None, _ -> fail cur "unterminated block comment"
-      | _ ->
-        advance cur;
-        to_close ()
-    in
-    to_close ();
-    skip_trivia cur
-  | _ -> ()
+  let c = peek cur in
+  if c = eof then ()
+  else
+    match char_of c with
+    | ' ' | '\t' | '\r' | '\n' ->
+      advance cur;
+      skip_trivia cur
+    | '/' when is_byte (peek2 cur) '/' ->
+      let rec to_eol () =
+        let c = peek cur in
+        if c <> eof && not (is_byte c '\n') then begin
+          advance cur;
+          to_eol ()
+        end
+      in
+      to_eol ();
+      skip_trivia cur
+    (* A '/' that opens no line comment loads its successor once per
+       guard; the pinned load counts include that second load. *)
+    | '/' when is_byte (peek2 cur) '*' ->
+      advance cur;
+      advance cur;
+      let rec to_close () =
+        (* The successor is loaded before the current byte. *)
+        let c2 = peek2 cur in
+        let c = peek cur in
+        if is_byte c '*' && is_byte c2 '/' then begin
+          advance cur;
+          advance cur
+        end
+        else if c = eof then fail cur "unterminated block comment"
+        else begin
+          advance cur;
+          to_close ()
+        end
+      in
+      to_close ();
+      skip_trivia cur
+    | _ -> ()
+
+let is_digit_byte c = c <> eof && is_digit (char_of c)
 
 let lex_number cur =
-  let buf = Buffer.create 16 in
+  let buf = cur.buf in
+  Buffer.clear buf;
   let rec digits () =
-    match peek cur with
-    | Some c when is_digit c ->
-      Buffer.add_char buf c;
+    let c = peek cur in
+    if is_digit_byte c then begin
+      Buffer.add_char buf (char_of c);
       advance cur;
       digits ()
-    | _ -> ()
+    end
   in
   digits ();
-  (match (peek cur, peek2 cur) with
-  | Some '.', Some c when is_digit c ->
+  (* The successor is loaded before the current byte. *)
+  let c2 = peek2 cur in
+  let c = peek cur in
+  if is_byte c '.' && is_digit_byte c2 then begin
     Buffer.add_char buf '.';
     advance cur;
     digits ()
-  | _ -> ());
-  (match peek cur with
-  | Some ('e' | 'E') ->
+  end;
+  let c = peek cur in
+  if is_byte c 'e' || is_byte c 'E' then begin
     Buffer.add_char buf 'e';
     advance cur;
-    (match peek cur with
-    | Some (('+' | '-') as sign) ->
-      Buffer.add_char buf sign;
+    let sign = peek cur in
+    if is_byte sign '+' || is_byte sign '-' then begin
+      Buffer.add_char buf (char_of sign);
       advance cur
-    | _ -> ());
+    end;
     digits ()
-  | _ -> ());
+  end;
   match float_of_string_opt (Buffer.contents buf) with
   | Some f -> Num f
   | None -> fail cur ("bad number literal " ^ Buffer.contents buf)
 
 let lex_string cur quote =
   advance cur;
-  let buf = Buffer.create 16 in
+  let buf = cur.buf in
+  Buffer.clear buf;
   let rec loop () =
-    match peek cur with
-    | None -> fail cur "unterminated string literal"
-    | Some c when c = quote -> advance cur
-    | Some '\\' ->
+    let c = peek cur in
+    if c = eof then fail cur "unterminated string literal"
+    else if c = Char.code quote then advance cur
+    else if is_byte c '\\' then begin
       advance cur;
-      (match peek cur with
-      | Some 'n' -> Buffer.add_char buf '\n'
-      | Some 't' -> Buffer.add_char buf '\t'
-      | Some 'r' -> Buffer.add_char buf '\r'
-      | Some '\\' -> Buffer.add_char buf '\\'
-      | Some c when c = quote -> Buffer.add_char buf c
-      | Some c -> Buffer.add_char buf c
-      | None -> fail cur "unterminated escape");
-      advance cur;
-      loop ()
-    | Some c ->
-      Buffer.add_char buf c;
+      let e = peek cur in
+      if e = eof then fail cur "unterminated escape";
+      Buffer.add_char buf
+        (match char_of e with
+        | 'n' -> '\n'
+        | 't' -> '\t'
+        | 'r' -> '\r'
+        | e -> e);
       advance cur;
       loop ()
+    end
+    else begin
+      Buffer.add_char buf (char_of c);
+      advance cur;
+      loop ()
+    end
   in
   loop ();
   Str (Buffer.contents buf)
 
 let lex_word cur =
-  let buf = Buffer.create 16 in
+  let buf = cur.buf in
+  Buffer.clear buf;
   let rec loop () =
-    match peek cur with
-    | Some c when is_ident_char c ->
-      Buffer.add_char buf c;
+    let c = peek cur in
+    if c <> eof && is_ident_char (char_of c) then begin
+      Buffer.add_char buf (char_of c);
       advance cur;
       loop ()
-    | _ -> ()
+    end
   in
   loop ();
-  let word = Buffer.contents buf in
-  if List.mem word keywords then Keyword word else Ident word
+  keyword_or_ident (Buffer.contents buf)
 
 let lex_punct cur c =
-  let two =
-    match peek2 cur with
-    | Some c2 ->
-      let candidate = Printf.sprintf "%c%c" c c2 in
-      if List.mem candidate puncts2 then Some candidate else None
-    | None -> None
-  in
-  match two with
-  | Some p ->
+  let c2 = peek2 cur in
+  let two = if c2 = eof then "" else punct2 c (char_of c2) in
+  if two <> "" then begin
     advance cur;
     advance cur;
-    Punct p
-  | None ->
-    let one = String.make 1 c in
-    if List.mem one puncts1 then begin
+    Punct two
+  end
+  else
+    let one = punct1 c in
+    if one <> "" then begin
       advance cur;
       Punct one
     end
     else fail cur (Printf.sprintf "unexpected character %C" c)
 
 let tokenize heap src =
-  let cur = { heap; src; pos = 0; line = 1 } in
+  let cur = { heap; src; pos = 0; line = 1; buf = Buffer.create 64 } in
   let rec loop acc =
     skip_trivia cur;
     let line = cur.line in
-    match peek cur with
-    | None -> List.rev ({ tok = Eof; line } :: acc)
-    | Some c ->
+    let c = peek cur in
+    if c = eof then List.rev ({ tok = Eof; line } :: acc)
+    else
+      let c = char_of c in
       let tok =
         if is_digit c then lex_number cur
         else if is_ident_start c then lex_word cur

@@ -42,9 +42,22 @@ let ident st =
     name
   | _ -> fail st "expected identifier"
 
-(* Binary operator precedence, loosest first. *)
-let precedences = [ [ "||" ]; [ "&&" ]; [ "|" ]; [ "^" ]; [ "&" ]; [ "=="; "!=" ];
-                    [ "<"; "<="; ">"; ">=" ]; [ "<<"; ">>" ]; [ "+"; "-" ]; [ "*"; "/"; "%" ] ]
+(* Binary operator precedence levels, loosest first; [-1] for a punctuator
+   that is no binary operator. *)
+let level_of = function
+  | "||" -> 0
+  | "&&" -> 1
+  | "|" -> 2
+  | "^" -> 3
+  | "&" -> 4
+  | "==" | "!=" -> 5
+  | "<" | "<=" | ">" | ">=" -> 6
+  | "<<" | ">>" -> 7
+  | "+" | "-" -> 8
+  | "*" | "/" | "%" -> 9
+  | _ -> -1
+
+let tightest_level = 9
 
 let rec parse_program st =
   let rec loop acc =
@@ -188,7 +201,7 @@ and parse_assign st =
   | _ -> lhs
 
 and parse_ternary st =
-  let cond = parse_binary st precedences in
+  let cond = parse_binary st 0 in
   if try_punct st "?" then begin
     let a = parse_assign st in
     eat_punct st ":";
@@ -197,20 +210,18 @@ and parse_ternary st =
   end
   else cond
 
-and parse_binary st levels =
-  match levels with
-  | [] -> parse_unary st
-  | ops :: tighter ->
-    let lhs = parse_binary st tighter in
-    let rec loop lhs =
-      match (current st).Lexer.tok with
-      | Lexer.Punct p when List.mem p ops ->
-        advance st;
-        let rhs = parse_binary st tighter in
-        loop (Ast.Binary (p, lhs, rhs))
-      | _ -> lhs
-    in
-    loop lhs
+and parse_binary st level =
+  if level > tightest_level then parse_unary st
+  else parse_binary_rest st level (parse_binary st (level + 1))
+
+(* Left-associative: folds every operator of [level] onto [lhs]. *)
+and parse_binary_rest st level lhs =
+  match (current st).Lexer.tok with
+  | Lexer.Punct p when level_of p = level ->
+    advance st;
+    let rhs = parse_binary st (level + 1) in
+    parse_binary_rest st level (Ast.Binary (p, lhs, rhs))
+  | _ -> lhs
 
 and parse_unary st =
   match (current st).Lexer.tok with

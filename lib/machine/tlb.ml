@@ -55,10 +55,10 @@ type t = {
 }
 
 let create () =
-  let dummy = Vmm.Page.create ~prot:Vmm.Prot.none ~pkey:Mpk.Pkey.default in
   {
     tags = Array.make size (-1);
-    pages = Array.make size dummy;
+    (* Unused slots are tagged invalid, so their page is never read. *)
+    pages = Array.make size (Vmm.Page.placeholder ());
     perms = Array.make size 0;
     map_epochs = Array.make size (-1);
     pkru_epochs = Array.make size (-1);

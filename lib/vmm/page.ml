@@ -5,3 +5,5 @@ type t = {
 }
 
 let create ~prot ~pkey = { data = Bytes.make Layout.page_size '\000'; prot; pkey }
+
+let placeholder () = { data = Bytes.empty; prot = Prot.none; pkey = Mpk.Pkey.default }

@@ -9,3 +9,8 @@ type t = {
 
 val create : prot:Prot.t -> pkey:Mpk.Pkey.t -> t
 (** Fresh zeroed page. *)
+
+val placeholder : unit -> t
+(** A data-less, inaccessible page ([Prot.none], default key, empty
+    [data]) for filling slots that never hold a real page, such as unused
+    TLB entries. *)

@@ -12,8 +12,10 @@ type t = {
   mutable epoch : int;
 }
 
+(* A session touches a few hundred pages; the table grows on demand, and
+   nothing observes its bucket order ([resident_page_list] sorts). *)
 let create () =
-  { pages = Hashtbl.create 4096; regions = [||]; demand_faults = 0; epoch = 0 }
+  { pages = Hashtbl.create 256; regions = [||]; demand_faults = 0; epoch = 0 }
 
 let aligned addr = Layout.page_offset addr = 0
 

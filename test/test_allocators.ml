@@ -195,6 +195,24 @@ let test_dl_coalescing () =
   let big = Option.get (Dlmalloc_model.alloc dl 200) in
   Alcotest.(check int) "coalesced space reused" a big
 
+(* First fit after a bin empties: the small request's bin is drained by
+   the first allocation, so the second must come from the next non-empty
+   bin up (the freed 224-byte chunk), not from the segment's big tail. *)
+let test_dl_drained_bin_falls_through () =
+  let _, dl = fresh_dl () in
+  let alloc n = Option.get (Dlmalloc_model.alloc dl n) in
+  let small = alloc 20 in
+  let _guard1 = alloc 20 in
+  let large = alloc 200 in
+  let _guard2 = alloc 20 in
+  Dlmalloc_model.free dl small;
+  Dlmalloc_model.free dl large;
+  ok (Dlmalloc_model.check_heap dl);
+  Alcotest.(check int) "small bin reused" small (alloc 20);
+  ok (Dlmalloc_model.check_heap dl);
+  Alcotest.(check int) "next non-empty bin splits" large (alloc 20);
+  ok (Dlmalloc_model.check_heap dl)
+
 let test_dl_errors () =
   let _, dl = fresh_dl () in
   let a = Option.get (Dlmalloc_model.alloc dl 64) in
@@ -242,22 +260,23 @@ let prop_dl_heap_invariants =
       let rng = Util.Rng.create seed in
       let _, dl = fresh_dl () in
       let live = ref [] in
-      for _ = 1 to 300 do
-        if Util.Rng.int rng 3 < 2 || !live = [] then begin
-          let size = 1 + Util.Rng.int rng 2000 in
-          match Dlmalloc_model.alloc dl size with
-          | None -> ()
-          | Some addr -> live := addr :: !live
-        end
-        else begin
-          let idx = Util.Rng.int rng (List.length !live) in
-          Dlmalloc_model.free dl (List.nth !live idx);
-          live := List.filteri (fun i _ -> i <> idx) !live
-        end
+      for step = 1 to 300 do
+        (if Util.Rng.int rng 3 < 2 || !live = [] then begin
+           let size = 1 + Util.Rng.int rng 2000 in
+           match Dlmalloc_model.alloc dl size with
+           | None -> ()
+           | Some addr -> live := addr :: !live
+         end
+         else begin
+           let idx = Util.Rng.int rng (List.length !live) in
+           Dlmalloc_model.free dl (List.nth !live idx);
+           live := List.filteri (fun i _ -> i <> idx) !live
+         end);
+        match Dlmalloc_model.check_heap dl with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_reportf "step %d: %s" step msg
       done;
-      match Dlmalloc_model.check_heap dl with
-      | Ok () -> true
-      | Error msg -> QCheck.Test.fail_report msg)
+      true)
 
 let prop_dl_payload_integrity =
   QCheck.Test.make ~count:15 ~name:"dlmalloc: payloads survive neighbours' churn"
@@ -502,8 +521,8 @@ let prop_dl_resize_preserves_invariants =
       let m, dl = fresh_dl () in
       ignore m;
       let live = ref [] in
-      for _ = 1 to 250 do
-        match Util.Rng.int rng 4 with
+      for step = 1 to 250 do
+        (match Util.Rng.int rng 4 with
         | 0 | 1 ->
           (match Dlmalloc_model.alloc dl (1 + Util.Rng.int rng 800) with
           | Some a -> live := a :: !live
@@ -515,11 +534,12 @@ let prop_dl_resize_preserves_invariants =
         | _ when !live <> [] ->
           let idx = Util.Rng.int rng (List.length !live) in
           ignore (Dlmalloc_model.try_resize dl (List.nth !live idx) (1 + Util.Rng.int rng 1200))
-        | _ -> ()
+        | _ -> ());
+        match Dlmalloc_model.check_heap dl with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_reportf "step %d: %s" step msg
       done;
-      match Dlmalloc_model.check_heap dl with
-      | Ok () -> true
-      | Error msg -> QCheck.Test.fail_report msg)
+      true)
 
 let suite =
   [
@@ -537,6 +557,8 @@ let suite =
     Alcotest.test_case "dlmalloc round-trip" `Quick test_dl_basic_roundtrip;
     Alcotest.test_case "dlmalloc coalescing" `Quick test_dl_coalescing;
     Alcotest.test_case "dlmalloc errors" `Quick test_dl_errors;
+    Alcotest.test_case "dlmalloc drained bin falls through" `Quick
+      test_dl_drained_bin_falls_through;
     Alcotest.test_case "dlmalloc corruption detection" `Quick test_dl_detects_corruption;
     Alcotest.test_case "dlmalloc slower than jemalloc" `Quick test_dl_is_slower_than_je;
     QCheck_alcotest.to_alcotest prop_dl_heap_invariants;
