@@ -847,7 +847,7 @@ let fleet_identity =
        failwith
          (Printf.sprintf "fleet: single-session transitions diverge from runner — %d vs %d"
             sr.Fleet.sr_transitions runner.Workloads.Runner.transitions);
-     (match (fleet.Fleet.r_trace, runner.Workloads.Runner.trace) with
+     (match (sr.Fleet.sr_trace, runner.Workloads.Runner.trace) with
      | Some ft, Some rt ->
        if fleet_trace_json ft <> fleet_trace_json rt then
          failwith "fleet: single-session event trace diverges from runner";

@@ -95,18 +95,19 @@ let flight_flag =
            ~doc:"Arm the flight recorder; post-mortem dumps (gate-verify kills, unrecovered \
                  faults, degradations) are written to FILE for `doctor`")
 
-let with_flight ?context flight f =
+let with_flight ?context obs flight f =
   match flight with
   | None -> f ()
   | Some path ->
-    let recorder = Telemetry.Flight.arm ~path () in
+    let recorder = Telemetry.Flight.create ~path () in
     (match context with Some c -> Telemetry.Flight.set_context recorder c | None -> ());
+    obs.Telemetry.Obs.flight <- Some recorder;
     Fun.protect
       ~finally:(fun () ->
         if Telemetry.Flight.dump_total recorder > 0 then
           Printf.printf "flight recorder: %d dump(s), latest written to %s\n"
             (Telemetry.Flight.dump_total recorder) path;
-        Telemetry.Flight.disarm ())
+        obs.Telemetry.Obs.flight <- None)
       f
 
 (* --- pipeline (E1) --- *)
@@ -184,12 +185,13 @@ let run_browse mode page script mitigation flight tier =
       Pkru_safe.Env.recorded_profile env
     | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Runtime.Profile.create ()
   in
+  let obs = Telemetry.Obs.create () in
   let env =
-    fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?mitigation mode))
+    fail_on_error (Pkru_safe.Env.create ~profile ~obs (Pkru_safe.Config.make ?mitigation mode))
   in
   let browser = Browser.create env in
   Engine.reset_stats (Browser.engine browser);
-  with_flight ~context:(Pkru_safe.Env.flight_context env) flight (fun () ->
+  with_flight ~context:(Pkru_safe.Env.flight_context env) obs flight (fun () ->
       Browser.load_page browser page;
       match Browser.exec_script ~tier browser script with
       | _ -> ()
@@ -348,9 +350,10 @@ let run_trace bench_name mode format output flight =
   | Error msg -> `Error (false, msg)
   | Ok bench ->
     let profile = profile_for ~mode bench in
+    let obs = Telemetry.Obs.create () in
     let m =
-      with_flight flight (fun () ->
-          Workloads.Runner.run_config ~telemetry:true ~mode ~profile bench)
+      with_flight obs flight (fun () ->
+          Workloads.Runner.run_config ~telemetry:true ~obs ~mode ~profile bench)
     in
     let sink =
       match m.Workloads.Runner.trace with
@@ -452,10 +455,11 @@ let run_report bench_name mode sample_every format output mitigation flight opco
     | Error msg -> `Error (false, msg)
     | Ok bench ->
       let profile = profile_for ~mode bench in
+      let obs = Telemetry.Obs.create () in
       let m =
-        with_flight flight (fun () ->
-            Workloads.Runner.run_config ~telemetry:true ~sample_every ?mitigation ~mode ~profile
-              ~engine_tier:tier bench)
+        with_flight obs flight (fun () ->
+            Workloads.Runner.run_config ~telemetry:true ~sample_every ?mitigation ~obs ~mode
+              ~profile ~engine_tier:tier bench)
       in
       let sink = Option.get m.Workloads.Runner.trace in
       let sampler = Option.get m.Workloads.Runner.samples in
@@ -513,9 +517,10 @@ let run_ir_file path mode use_static entry telemetry =
   match Ir.Ir_text.of_string text with
   | exception Ir.Ir_text.Syntax_error msg -> `Error (false, path ^ ": " ^ msg)
   | source ->
+    let obs = Telemetry.Obs.create () in
     let build =
       if use_static then begin
-        let b, result = fail_on_error (Toolchain.Pipeline.build_static ~mode source) in
+        let b, result = fail_on_error (Toolchain.Pipeline.build_static ~obs ~mode source) in
         Printf.printf "static analysis: %d shared site(s), %d fixpoint round(s)\n"
           (Runtime.Alloc_id.Set.cardinal result.Ir.Static_taint.shared)
           result.Ir.Static_taint.iterations;
@@ -534,18 +539,12 @@ let run_ir_file path mode use_static entry telemetry =
             p
           | Pkru_safe.Config.Base | Pkru_safe.Config.Profiling -> Runtime.Profile.create ()
         in
-        fail_on_error (Toolchain.Pipeline.build ~profile ~mode source)
+        fail_on_error (Toolchain.Pipeline.build ~profile ~obs ~mode source)
       end
     in
     let sink = if telemetry then Some (Telemetry.Sink.create ()) else None in
-    let execute () =
-      match sink with
-      | Some s ->
-        Telemetry.Sink.with_sink s (fun () ->
-            Toolchain.Interp.run build.Toolchain.Pipeline.interp entry [])
-      | None -> Toolchain.Interp.run build.Toolchain.Pipeline.interp entry []
-    in
-    (match execute () with
+    obs.Telemetry.Obs.sink <- sink;
+    (match Toolchain.Interp.run build.Toolchain.Pipeline.interp entry [] with
     | result ->
       Printf.printf "%s() = %d\n" entry result;
       Printf.printf "[%s] cycles=%d transitions=%d sites=%d moved=%d wrappers=%d\n"
@@ -821,8 +820,10 @@ let run_audit bench_name mode census_every promote format output mitigation flig
          and a promotion re-run needs the quarantine table carried onto a
          fresh image. *)
       let run_once ~flight ~quarantine =
+        let obs = Telemetry.Obs.create () in
         let env =
-          fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?mitigation mode))
+          fail_on_error
+            (Pkru_safe.Env.create ~profile ~obs (Pkru_safe.Config.make ?mitigation mode))
         in
         let pkalloc = Pkru_safe.Env.pkalloc env in
         List.iter (Allocators.Pkalloc.quarantine_site pkalloc) quarantine;
@@ -830,12 +831,12 @@ let run_audit bench_name mode census_every promote format output mitigation flig
         let browser = Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed env in
         let census = Telemetry.Census.create ~every:census_every () in
         let sink = Telemetry.Sink.create () in
-        with_flight ~context:(Pkru_safe.Env.flight_context env) flight (fun () ->
-            Telemetry.Sink.with_sink sink (fun () ->
-                Telemetry.Census.with_census ~provider:(Pkru_safe.Env.census_snapshot env)
-                  census (fun () ->
-                    Browser.load_page browser bench.Workloads.Bench_def.page;
-                    ignore (Browser.exec_script browser bench.Workloads.Bench_def.script))));
+        obs.Telemetry.Obs.sink <- Some sink;
+        obs.Telemetry.Obs.census <- Some census;
+        obs.Telemetry.Obs.census_provider <- Some (Pkru_safe.Env.census_snapshot env);
+        with_flight ~context:(Pkru_safe.Env.flight_context env) obs flight (fun () ->
+            Browser.load_page browser bench.Workloads.Bench_def.page;
+            ignore (Browser.exec_script browser bench.Workloads.Bench_def.script));
         let metadata = Option.get (Pkru_safe.Env.census_metadata env) in
         (env, sink, census, Audit.scan ~metadata pkalloc)
       in

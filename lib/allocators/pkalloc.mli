@@ -43,7 +43,7 @@ val trusted_pkey : t -> Mpk.Pkey.t
 
 val alloc_trusted : ?site:string -> t -> int -> int option
 (** [__rust_alloc]: allocate from MT.  [site] is the printed AllocId used
-    to tag the telemetry event when a sink is installed. *)
+    to tag the telemetry event when a sink is armed. *)
 
 val alloc_untrusted : ?site:string -> t -> int -> int option
 (** [__rust_untrusted_alloc]: allocate from MU. *)

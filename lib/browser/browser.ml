@@ -6,8 +6,9 @@ module Layout = Layout
 module Selector = Selector
 
 type selector_stats = {
-  mutable sel_hits : int;
-  mutable sel_misses : int;
+  sel_hits : int;
+  sel_misses : int;
+  sel_evictions : int;
 }
 
 type t = {
@@ -24,13 +25,9 @@ type t = {
     (* parse/compile cache keyed by selector source text; compiled
        matching performs identical charged DOM reads (see Selector), so
        the cache only saves host-side parsing and name resolution *)
-  sel_stats : selector_stats;
+  mutable sel_hits : int;
+  mutable sel_misses : int;
 }
-
-(* Selector parse/compile caching is on by default; the differential
-   tests toggle it off to assert cached and uncached queries simulate
-   bit-identically. *)
-let selector_cache_enabled = ref true
 
 let secret_value = 42
 
@@ -131,33 +128,21 @@ let rec install_bindings t =
       match args with
       | [ selector_text ] ->
         let text = arg_string t selector_text in
-        let nodes =
-          if !selector_cache_enabled then begin
-            let compiled =
-              match Hashtbl.find_opt t.selectors text with
-              | Some c ->
-                t.sel_stats.sel_hits <- t.sel_stats.sel_hits + 1;
-                c
-              | None ->
-                t.sel_stats.sel_misses <- t.sel_stats.sel_misses + 1;
-                let parsed =
-                  try Selector.parse text
-                  with Selector.Parse_error msg -> fail "domQuery: %s" msg
-                in
-                let c = Selector.compile parsed in
-                Hashtbl.replace t.selectors text c;
-                c
+        let compiled =
+          match Hashtbl.find_opt t.selectors text with
+          | Some c ->
+            t.sel_hits <- t.sel_hits + 1;
+            c
+          | None ->
+            t.sel_misses <- t.sel_misses + 1;
+            let parsed =
+              try Selector.parse text with Selector.Parse_error msg -> fail "domQuery: %s" msg
             in
-            Selector.query_all_compiled t.dom compiled
-          end
-          else begin
-            let selector =
-              try Selector.parse text
-              with Selector.Parse_error msg -> fail "domQuery: %s" msg
-            in
-            Selector.query_all t.dom selector
-          end
+            let c = Selector.compile parsed in
+            Hashtbl.replace t.selectors text c;
+            c
         in
+        let nodes = Selector.query_all_compiled t.dom compiled in
         let arr = Engine.Value.arr_make (heap t) 0 in
         (match arr with
         | Engine.Value.Arr a ->
@@ -318,7 +303,8 @@ let create ?engine_seed ?engine_fuel env =
       last_layout = None;
       listeners = Hashtbl.create 32;
       selectors = Hashtbl.create 16;
-      sel_stats = { sel_hits = 0; sel_misses = 0 };
+      sel_hits = 0;
+      sel_misses = 0;
     }
   in
   (* Plant the security experiment's secret at the paper's fixed address
@@ -339,7 +325,7 @@ let engine t = t.engine
    executions become causal roots, so every gate crossing and incident
    underneath them is attributed to the phase that drove it. *)
 let with_phase t name f =
-  match !Telemetry.Sink.current with
+  match t.machine.Sim.Machine.obs.Telemetry.Obs.sink with
   | None -> f ()
   | Some sink ->
     let cpu = t.machine.Sim.Machine.cpu.Sim.Cpu.id in
@@ -349,7 +335,7 @@ let with_phase t name f =
     in
     Fun.protect
       ~finally:(fun () ->
-        match !Telemetry.Sink.current with
+        match t.machine.Sim.Machine.obs.Telemetry.Obs.sink with
         | None -> ()
         | Some sink ->
           Telemetry.Sink.span_exit sink ~ts:(Sim.Machine.cycles t.machine) ~cpu ~id ())
@@ -384,8 +370,13 @@ let read_secret t = Sim.Machine.priv_read_u64 t.machine Vmm.Layout.secret_addr
 
 let scripts_run t = t.scripts_run
 
-let selector_stats t = t.sel_stats
+let selector_stats t =
+  {
+    sel_hits = t.sel_hits;
+    sel_misses = t.sel_misses;
+    sel_evictions = Dom.split_memo_evicted t.dom;
+  }
 
 let reset_selector_stats t =
-  t.sel_stats.sel_hits <- 0;
-  t.sel_stats.sel_misses <- 0
+  t.sel_hits <- 0;
+  t.sel_misses <- 0

@@ -68,13 +68,13 @@ val scripts_run : t -> int
    it saves host-side parsing/name-resolution only). *)
 
 type selector_stats = {
-  mutable sel_hits : int;  (** [domQuery] calls served from the cache *)
-  mutable sel_misses : int;  (** calls that parsed + compiled *)
+  sel_hits : int;  (** [domQuery] calls served from the cache *)
+  sel_misses : int;  (** calls that parsed + compiled *)
+  sel_evictions : int;
+      (** class-split memo entries evicted over the page's lifetime
+          ({!Dom.split_memo_evicted}; not reset) *)
 }
 
 val selector_stats : t -> selector_stats
 val reset_selector_stats : t -> unit
-
-val selector_cache_enabled : bool ref
-(** Default [true]; the differential tests toggle it off to assert
-    cached and uncached querying simulate bit-identically. *)
+(** Zeroes the hit and miss counts. *)

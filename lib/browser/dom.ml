@@ -29,6 +29,8 @@ type t = {
   id_at : (int, node) Hashtbl.t; (* address -> id, for pointer walks *)
   mutable next_id : int;
   root : node;
+  split_memo : (string, string list) Hashtbl.t; (* class value -> its classes *)
+  mutable split_memo_evicted : int;
 }
 
 let node_size = 64
@@ -92,6 +94,8 @@ let create env =
       id_at = Hashtbl.create 256;
       next_id = 1;
       root = 1;
+      split_memo = Hashtbl.create 8;
+      split_memo_evicted = 0;
     }
   in
   ignore (intern t "#text"); (* claims code 0 *)
@@ -102,6 +106,31 @@ let create env =
 
 let env t = t.env
 let root t = t.root
+
+(* Content-keyed class-split memo for compiled selectors: sound with no
+   invalidation (pure function of the value string); cleared when
+   oversized so a long-lived page can't grow it without bound.
+   Evictions are counted into the machine's sink (a post-hoc host-side
+   counter — no event, no cycle). *)
+let split_memo_cap = 4096
+let split_memo_evicted t = t.split_memo_evicted
+
+let split_classes t value =
+  match Hashtbl.find_opt t.split_memo value with
+  | Some parts -> parts
+  | None ->
+    let parts = String.split_on_char ' ' value |> List.filter (fun s -> s <> "") in
+    if Hashtbl.length t.split_memo >= split_memo_cap then begin
+      let evicted = Hashtbl.length t.split_memo in
+      t.split_memo_evicted <- t.split_memo_evicted + evicted;
+      (match t.machine.Sim.Machine.obs.Telemetry.Obs.sink with
+      | Some sink -> Telemetry.Sink.incr sink ~by:evicted "selector_memo_evict"
+      | None -> ());
+      Hashtbl.reset t.split_memo
+    end;
+    Hashtbl.replace t.split_memo value parts;
+    parts
+
 let node_count t = Hashtbl.length t.addr_of
 
 let create_element t tag = alloc_node t ~code:(intern t tag)

@@ -78,6 +78,20 @@ val attribute_by_code : t -> node -> int -> string option
 (** {!get_attribute} given a pre-resolved name code: identical charged
     reads (attribute-chain walk + value bytes). *)
 
+val split_classes : t -> string -> string list
+(** The whitespace-separated classes of a [class] attribute value,
+    memoized by content for this document (host-side, no charge). *)
+
+val split_memo_cap : int
+(** Size bound on the class-split memo.  When full, the memo is cleared;
+    the number of evicted entries is added to {!split_memo_evicted}
+    and counted into the machine's sink (if armed) as
+    [selector_memo_evict] — a host-side counter only, never an event or
+    a cycle. *)
+
+val split_memo_evicted : t -> int
+(** Entries evicted from this document's class-split memo so far. *)
+
 val set_text : t -> node -> string -> unit
 (** Replaces a text node's payload. @raise Invalid_argument on elements. *)
 

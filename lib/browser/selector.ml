@@ -191,30 +191,6 @@ let compile (sel : t) : compiled =
 
 let source c = c.source
 
-(* Content-keyed class-split memo: sound with no invalidation (pure
-   function of the value string); cleared when oversized so a 100k-session
-   fleet can't grow it without bound.  Evictions are counted into the
-   sink (a post-hoc host-side counter — no event, no cycle). *)
-let split_memo : (string, string list) Hashtbl.t = Hashtbl.create 64
-let split_memo_cap = 4096
-let split_memo_evictions = ref 0
-
-let split_classes value =
-  match Hashtbl.find_opt split_memo value with
-  | Some parts -> parts
-  | None ->
-    let parts = split_on_whitespace value in
-    if Hashtbl.length split_memo >= split_memo_cap then begin
-      let evicted = Hashtbl.length split_memo in
-      split_memo_evictions := !split_memo_evictions + evicted;
-      (match !Telemetry.Sink.current with
-      | Some sink -> Telemetry.Sink.incr sink ~by:evicted "selector_memo_evict"
-      | None -> ());
-      Hashtbl.reset split_memo
-    end;
-    Hashtbl.replace split_memo value parts;
-    parts
-
 let matches_csimple dom node = function
   | Cuniversal -> true
   | Ctag r ->
@@ -232,7 +208,7 @@ let matches_csimple dom node = function
     else (
       match Dom.attribute_by_code dom node code with
       | None -> false
-      | Some value -> List.mem cls (split_classes value))
+      | Some value -> List.mem cls (Dom.split_classes dom value))
 
 let matches_ccompound dom node compound =
   (not (Dom.is_text dom node)) && List.for_all (matches_csimple dom node) compound

@@ -36,9 +36,10 @@ val query_first : Dom.t -> t -> Dom.node option
    One-time host-side preparation of a parsed selector: names resolve to
    interned codes (revalidated against the DOM's monotonic intern count,
    so names interned after compilation are picked up) and class-value
-   splitting is memoized by content.  Matching performs the exact same
-   charged DOM reads as the interpreted matcher — simulated cycles,
-   faults and traces are bit-identical; only host wall-clock drops.
+   splitting is memoized by content per document ({!Dom.split_classes}).
+   Matching performs the exact same charged DOM reads as the interpreted
+   matcher — simulated cycles, faults and traces are bit-identical; only
+   host wall-clock drops.
    The browser's per-page selector cache ({!Browser.selector_stats})
    keys compiled selectors by source text. *)
 
@@ -52,12 +53,3 @@ val source : compiled -> t
 val matches_compiled : Dom.t -> Dom.node -> compiled -> bool
 val query_all_compiled : Dom.t -> compiled -> Dom.node list
 
-val split_memo_cap : int
-(** Size bound on the content-keyed class-split memo.  When full, the
-    memo is cleared; the number of evicted entries is added to
-    {!split_memo_evictions} and counted into the installed sink (if any)
-    as [selector_memo_evict] — a host-side counter only, never an event
-    or a cycle. *)
-
-val split_memo_evictions : int ref
-(** Total entries evicted from the class-split memo, process lifetime. *)

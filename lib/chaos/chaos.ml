@@ -68,7 +68,7 @@ let profile_workload () =
 
 let make_env ~profile ~policy =
   ok_exn
-    (Pkru_safe.Env.create ~profile
+    (Pkru_safe.Env.create ~profile ~obs:(Telemetry.Obs.create ())
        (Pkru_safe.Config.make ~mitigation:policy Pkru_safe.Config.Mpk))
 
 (* Drives one workload execution and classifies how it ended.  Graceful
@@ -132,9 +132,8 @@ let gate_depth env = Runtime.Comp_stack.depth (Runtime.Gate.stack (Pkru_safe.Env
    death inside the boundary (gate verify kill, unhandled fault, trap with
    no handler) snapshots the scenario's own sink — recent events, the
    gate tail, and the causal span chain that was open at the death. *)
-let flight_for env sink =
+let flight_for env =
   let recorder = Telemetry.Flight.create () in
-  Telemetry.Flight.attach_sink recorder sink;
   Telemetry.Flight.set_context recorder (Pkru_safe.Env.flight_context env);
   recorder
 
@@ -152,9 +151,18 @@ let chaos_span env sink name f =
       Telemetry.Sink.span_exit sink ~ts:(Sim.Machine.cycles machine) ~cpu ~id ())
     f
 
+(* Sink and recorder are armed in the environment's observation context
+   for the driven window only: the invariant probes that follow run
+   unobserved. *)
 let driven env sink recorder name f =
-  Telemetry.Flight.with_recorder recorder (fun () ->
-      Telemetry.Sink.with_sink sink (fun () -> chaos_span env sink name f))
+  let obs = Pkru_safe.Env.obs env in
+  obs.Telemetry.Obs.sink <- Some sink;
+  obs.Telemetry.Obs.flight <- Some recorder;
+  Fun.protect
+    ~finally:(fun () ->
+      obs.Telemetry.Obs.sink <- None;
+      obs.Telemetry.Obs.flight <- None)
+    (fun () -> chaos_span env sink name f)
 
 let mitigator_exn env =
   match Pkru_safe.Env.mitigator env with
@@ -231,7 +239,7 @@ let finish ~scenario ~policy ~seed ~ending ~rerun_incidents ~details ~sink ~reco
   | Coverage_gap | Handler_tamper -> ());
   if !failures <> [] then
     ignore
-      (Telemetry.Flight.record recorder ~reason:"chaos invariant failure"
+      (Telemetry.Flight.record recorder ~sink:(Some sink) ~reason:"chaos invariant failure"
          ~details:
            [
              ("scenario", Util.Json.String (scenario_to_string scenario));
@@ -284,7 +292,7 @@ let coverage_gap ~drop ~policy ~seed =
   let browser = Browser.create ~engine_seed:workload.Workloads.Bench_def.engine_seed env in
   Browser.load_page browser workload.Workloads.Bench_def.page;
   let sink = Telemetry.Sink.create () in
-  let recorder = flight_for env sink in
+  let recorder = flight_for env in
   let ending =
     driven env sink recorder "chaos:coverage-gap" (fun () -> run_script browser)
   in
@@ -325,7 +333,7 @@ let pkalloc_oom ~oom_at ~policy ~seed =
   let pkalloc = Pkru_safe.Env.pkalloc env in
   Allocators.Pkalloc.fail_nth_alloc pkalloc pool oom_at;
   let sink = Telemetry.Sink.create () in
-  let recorder = flight_for env sink in
+  let recorder = flight_for env in
   let ending = driven env sink recorder "chaos:pkalloc-oom" (fun () -> run_script browser) in
   (* Exhaustion must be a one-shot, leaving consistent books: the
      failpoint disarms after firing and both pools' counters still
@@ -384,7 +392,7 @@ let gate_corruption ~policy ~seed =
     end
   in
   let sink = Telemetry.Sink.create () in
-  let recorder = flight_for env sink in
+  let recorder = flight_for env in
   let gate = Pkru_safe.Env.gate env in
   let ending =
     Fun.protect
@@ -441,7 +449,7 @@ let handler_tamper ~drop ~policy ~seed =
       ("reorder-chain (benign handler moved behind mitigator)", false)
   in
   let sink = Telemetry.Sink.create () in
-  let recorder = flight_for env sink in
+  let recorder = flight_for env in
   let ending =
     driven env sink recorder ("chaos:handler-tamper:" ^ action) (fun () -> run_script browser)
   in

@@ -40,8 +40,8 @@ type t = {
   mutable census : census_state option;
 }
 
-let create ?profile ?backing config =
-  let machine = Sim.Machine.create ~cost:config.Config.cost ~tlb:config.Config.tlb () in
+let create ?profile ?backing ?obs config =
+  let machine = Sim.Machine.create ~cost:config.Config.cost ~tlb:config.Config.tlb ?obs () in
   match
     Allocators.Pkalloc.create ?backing ~mu_backend:config.Config.mu_backend
       ~trusted_pkey:config.Config.trusted_pkey machine
@@ -108,6 +108,7 @@ let create ?profile ?backing config =
 
 let config t = t.config
 let machine t = t.machine
+let obs t = t.machine.Sim.Machine.obs
 let pkalloc t = t.pkalloc
 let gate t = t.active.t_gate
 let profiler t = t.profiler
@@ -152,10 +153,10 @@ let note_site t site moved =
     if moved then t.sites_moved <- t.sites_moved + 1
   end
 
-(* The AllocId label is only rendered when a telemetry sink is installed;
+(* The AllocId label is only rendered when a telemetry sink is armed;
    disabled runs never build the string. *)
-let site_label site =
-  if Telemetry.Sink.active () then Some (Runtime.Alloc_id.to_string site) else None
+let site_label t site =
+  if Option.is_some (obs t).Telemetry.Obs.sink then Some (Runtime.Alloc_id.to_string site) else None
 
 (* A site draws from MU when the input profile names it — or when the
    mitigator's Promote policy quarantined it at runtime (the pkalloc
@@ -203,7 +204,7 @@ let alloc t ~site size =
     && (Runtime.Profile.mem t.input_profile site || site_overridden t site)
   in
   note_site t site moved;
-  let label = site_label site in
+  let label = site_label t site in
   let result =
     if moved then Allocators.Pkalloc.alloc_untrusted ?site:label t.pkalloc size
     else Allocators.Pkalloc.alloc_trusted ?site:label t.pkalloc size
@@ -455,7 +456,7 @@ let flight_context t () =
   (* When a census is live, the latest heap snapshot rides along so the
      post-mortem shows what the heap looked like near death. *)
   let census =
-    match !Telemetry.Census.current with
+    match (obs t).Telemetry.Obs.census with
     | None -> []
     | Some c -> (
       match Telemetry.Census.latest c with

@@ -18,6 +18,7 @@ type t
 val create :
   ?profile:Runtime.Profile.t ->
   ?backing:Allocators.Backing.t ->
+  ?obs:Telemetry.Obs.t ->
   Config.t ->
   (t, string) result
 (** [profile] is required by [Alloc] and [Mpk] modes to know which sites
@@ -25,10 +26,16 @@ val create :
     makes an unprofiled enforcement build crash on shared data).
     [backing] puts both of this environment's pools on a shared page
     budget (fleet memory contention); exhaustion raises [Out_of_memory]
-    from {!alloc}. *)
+    from {!alloc}.  [obs] becomes the machine's observation context (see
+    [Sim.Machine.create]); every telemetry site of this environment reads
+    its slots. *)
 
 val config : t -> Config.t
 val machine : t -> Sim.Machine.t
+
+val obs : t -> Telemetry.Obs.t
+(** The machine's observation context. *)
+
 val pkalloc : t -> Allocators.Pkalloc.t
 val gate : t -> Runtime.Gate.t
 (** The {e active} thread's gate. *)
@@ -124,8 +131,8 @@ val sites_moved : t -> int
     of §5.3). *)
 
 val stack_frames : t -> string list
-(** The active thread's compartment nesting, root first — register this
-    as the {!Telemetry.Sampler} provider to attribute cycle samples to
+(** The active thread's compartment nesting, root first — arm this as
+    the [sampler_provider] of {!obs} to attribute cycle samples to
     compartments.  Pure reads; charges no cycles. *)
 
 (* {2 Heap census and provenance audit} *)
@@ -154,14 +161,14 @@ val census_snapshot : t -> unit -> Telemetry.Census.snapshot
     census state (empty until {!track_census}).  The per-site counters
     are maintained on every tracked alloc/free/realloc, so a snapshot
     costs O(sites) — it equals a walk over {!census_metadata} without
-    doing one.  Pure reads; charges no cycles.  Install with
-    [Telemetry.Census.install ~provider:(Env.census_snapshot env) c]. *)
+    doing one.  Pure reads; charges no cycles.  Arm it as the
+    [census_provider] of the environment's {!obs}. *)
 
 val flight_context : t -> unit -> Util.Json.t
 (** The {!Telemetry.Flight} context provider: simulated cycles, each
     hart's live PKRU, the active gate's nesting depth, total transitions,
     the last fault delivered and — when a mitigator tracks metadata — the
     allocation that fault landed in ([suspect_alloc]); when a census is
-    installed, its latest heap snapshot rides along as [census].  Pure
+    armed in {!obs}, its latest heap snapshot rides along as [census].  Pure
     reads; charges no cycles.  Install with
     [Telemetry.Flight.set_context recorder (Env.flight_context env)]. *)

@@ -38,13 +38,13 @@ let register_host t name fn = Eval.register_host t.eval name fn
 
 (* Workload-phase spans: engine stages become causal spans so a flight
    dump (or Chrome trace) shows which stage a gate crossing or fault
-   happened inside.  With no sink installed this is a load and a branch
+   happened inside.  With no sink armed this is a load and a branch
    per phase — no event, no span, no cycle is ever produced. *)
 let with_phase t name f =
-  match !Telemetry.Sink.current with
+  let machine = Pkru_safe.Env.machine t.env in
+  match machine.Sim.Machine.obs.Telemetry.Obs.sink with
   | None -> f ()
   | Some sink ->
-    let machine = Pkru_safe.Env.machine t.env in
     let cpu = machine.Sim.Machine.cpu.Sim.Cpu.id in
     let id =
       Telemetry.Sink.span_enter sink ~ts:(Sim.Machine.cycles machine) ~cpu
@@ -52,7 +52,7 @@ let with_phase t name f =
     in
     Fun.protect
       ~finally:(fun () ->
-        match !Telemetry.Sink.current with
+        match machine.Sim.Machine.obs.Telemetry.Obs.sink with
         | None -> ()
         | Some sink ->
           Telemetry.Sink.span_exit sink ~ts:(Sim.Machine.cycles machine) ~cpu ~id ())

@@ -33,9 +33,10 @@
      with an [Oom] outcome while the fleet keeps going.  Retired
      sessions return their pages.
 
-   The engine has no process-wide toggle, so parking and resuming a
-   session switches only its continuation.  The telemetry writer slots
-   are guarded ({!Telemetry.Guard}) for the whole run. *)
+   The engine has no process-wide toggle and every session's machine
+   owns its observation context, so parking and resuming a session
+   switches only its continuation, and per-session traces cannot be
+   cross-wired. *)
 
 type job = {
   job_name : string;
@@ -79,6 +80,7 @@ type session_result = {
   sr_checksum : int;
   sr_latency_cycles : int;
   sr_outcome : outcome;
+  sr_trace : Telemetry.Sink.t option;
 }
 
 type backing_stats = {
@@ -102,7 +104,6 @@ type result = {
   r_oom : int;
   r_failed : int;
   r_results : session_result list;
-  r_trace : Telemetry.Sink.t option;
   r_backing : backing_stats option;
 }
 
@@ -149,12 +150,16 @@ let checksum ~output ~cycles ~transitions =
 (* The session body.  Mirrors the [Runner.run_config] measurement
    protocol exactly: environment/browser construction and page load are
    setup, counters reset, then the scripts are the timed run.  In
-   [telemetry] mode (single-session only) the script phase runs under a
-   sink and the same post-run counter injections as the runner, so the
-   event trace is comparable bit-for-bit. *)
-let session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess () =
+   [telemetry] mode the script phase runs under the session's own sink,
+   armed in its machine's observation context, with the same post-run
+   counter injections as the runner, so each session's event trace is
+   comparable bit-for-bit with a solo runner trace. *)
+let session_body ~mode ~profile ~backing ~tier ~timeslice ~telemetry ~defenses sess () =
+  let obs = Telemetry.Obs.create () in
   let env =
-    match Pkru_safe.Env.create ~profile ?backing (Pkru_safe.Config.make ~defenses mode) with
+    match
+      Pkru_safe.Env.create ~profile ?backing ~obs (Pkru_safe.Config.make ~defenses mode)
+    with
     | Ok env -> env
     | Error msg -> failwith ("Fleet: Env.create: " ^ msg)
   in
@@ -180,17 +185,14 @@ let session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess (
       (fun script -> ignore (Browser.exec_script ?tier browser script))
       sess.s_job.job_scripts
   in
-  match sink with
-  | None -> exec ()
-  | Some sink ->
+  if not telemetry then exec ()
+  else begin
+    let sink = Telemetry.Sink.create () in
+    obs.Telemetry.Obs.sink <- Some sink;
     let tlb_before = Sim.Machine.tlb_stats (Pkru_safe.Env.machine env) in
-    (* Install directly: the fleet holds the telemetry guard, which
-       blocks [with_sink] for outside writers but not the fleet's own
-       single-session trace. *)
-    let previous = !Telemetry.Sink.current in
-    Telemetry.Sink.current := Some sink;
-    Fun.protect ~finally:(fun () -> Telemetry.Sink.current := previous) exec;
+    exec ();
     Workloads.Runner.inject_counters sink ~tlb_before browser
+  end
 
 (* --- The scheduler --- *)
 
@@ -202,24 +204,8 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
   if timeslice <= 0 then invalid_arg "Fleet.run: timeslice must be positive";
   if max_live <= 0 then invalid_arg "Fleet.run: max_live must be positive";
   if jobs = [] then invalid_arg "Fleet.run: no jobs";
-  if telemetry && (n <> 1 || cpus <> 1) then
-    invalid_arg "Fleet.run: telemetry traces are single-session only (sessions=1, cpus=1)";
-  (* A writer installed before the fleet starts would observe an
-     arbitrary interleaving of all sessions — refuse, like the guard
-     refuses installs while the fleet is active. *)
-  if Telemetry.Sink.active () then
-    invalid_arg "Fleet.run: a process-wide sink is installed; disable it before a fleet run";
-  if Telemetry.Sampler.active () then
-    invalid_arg "Fleet.run: a sampler is installed; disable it before a fleet run";
-  if Telemetry.Census.active () then
-    invalid_arg "Fleet.run: a census is installed; disable it before a fleet run";
-  if !Telemetry.Flight.current <> None then
-    invalid_arg "Fleet.run: the flight recorder is armed; disarm it before a fleet run";
   let profile = match profile with Some p -> p | None -> Runtime.Profile.create () in
   let backing = Option.map (fun pages -> Allocators.Backing.create ~pages) page_budget in
-  let sink = if telemetry then Some (Telemetry.Sink.create ()) else None in
-  let label = Printf.sprintf "fleet sessions=%d cpus=%d" n cpus in
-  Telemetry.Guard.with_exclusive label @@ fun () ->
   let njobs = List.length jobs in
   let job_arr = Array.of_list jobs in
   let queues : session list ref array = Array.init cpus (fun _ -> ref []) in
@@ -313,6 +299,7 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
       | Some env, None -> (Pkru_safe.Env.cycles env, Pkru_safe.Env.transitions env, [])
       | None, _ -> (0, 0, [])
     in
+    let trace = Option.bind sess.s_env (fun env -> (Pkru_safe.Env.obs env).Telemetry.Obs.sink) in
     (* Teardown: pages back to the shared budget, hook and references
        dropped so the session's machine is collectable under max_live. *)
     (match sess.s_env with
@@ -334,6 +321,7 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
         sr_checksum = checksum ~output ~cycles ~transitions;
         sr_latency_cycles = vclock.(c) - sess.s_admitted_at;
         sr_outcome = outcome;
+        sr_trace = trace;
       }
       :: !finished
   in
@@ -365,7 +353,7 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
         | None -> Effect.Deep.continue k ())
       | None ->
         Effect.Deep.match_with
-          (session_body ~mode ~profile ~backing ~tier ~timeslice ~sink ~defenses sess)
+          (session_body ~mode ~profile ~backing ~tier ~timeslice ~telemetry ~defenses sess)
           () handler
     in
     (* Advance the CPU by the simulated cycles this slice retired. *)
@@ -429,7 +417,6 @@ let run ?(mode = Pkru_safe.Config.Base) ?profile ?(cpus = 1) ?(timeslice = 4000)
     r_oom = count (fun r -> r.sr_outcome = Oom);
     r_failed = count (fun r -> match r.sr_outcome with Failed _ -> true | _ -> false);
     r_results = results;
-    r_trace = sink;
     r_backing =
       Option.map
         (fun b ->
@@ -498,9 +485,6 @@ type prog_state = {
 let run_programs env programs =
   if programs = [] then invalid_arg "Fleet.run_programs: no programs";
   let defenses = (Pkru_safe.Env.config env).Pkru_safe.Config.defenses in
-  let n = List.length programs in
-  Telemetry.Guard.with_exclusive (Printf.sprintf "attack battery (%d programs)" n)
-  @@ fun () ->
   let states =
     List.mapi
       (fun i (p : program) ->

@@ -45,6 +45,8 @@ type session_result = {
   sr_checksum : int;  (** hash of console output, cycles, transitions *)
   sr_latency_cycles : int;  (** admission-to-retire, in cycles (= ns) *)
   sr_outcome : outcome;
+  sr_trace : Telemetry.Sink.t option;
+      (** this session's own telemetry (telemetry mode only) *)
 }
 
 type backing_stats = {
@@ -68,7 +70,6 @@ type result = {
   r_oom : int;
   r_failed : int;
   r_results : session_result list;  (** admission order *)
-  r_trace : Telemetry.Sink.t option;  (** telemetry mode only *)
   r_backing : backing_stats option;  (** page-budget mode only *)
 }
 
@@ -99,18 +100,16 @@ val run :
     The check charges no cycles and emits nothing when it passes, so a
     defended benign fleet is bit-identical to an undefended one.
 
-    [telemetry] (single-session, single-CPU only) captures an event
-    trace with the exact {!Workloads.Runner} protocol — sink around the
-    script phase, identical post-run counter injection order — so the
-    trace is comparable bit-for-bit with the runner's; it is returned in
-    [r_trace].
+    [telemetry] gives every session its own sink, armed in its own
+    machine's observation context, and captures an event trace with the
+    exact {!Workloads.Runner} protocol — sink around the script phase,
+    identical post-run counter injection order — so each session's trace
+    is comparable bit-for-bit with a solo runner trace of its job,
+    whatever the session count, CPU count or interleaving.  The trace is
+    returned in the session's [sr_trace] and retained for the whole run,
+    so telemetry-mode host memory grows with [sessions].
 
-    The whole run holds {!Telemetry.Guard}: installing a process-wide
-    telemetry writer mid-run raises, and a writer already installed
-    makes [run] itself raise [Invalid_argument].
-
-    @raise Invalid_argument on nonsensical parameters or an installed
-    telemetry writer. *)
+    @raise Invalid_argument on nonsensical parameters. *)
 
 (** {2 Attack-program scheduling (the Garmr battery)}
 
@@ -153,8 +152,9 @@ val run_programs : Pkru_safe.Env.t -> program list -> battery
     simulated thread per program; honours the environment's
     [gate_reverify] defense on every resume (a mismatch drops the
     continuation — the program retires [Failed] without executing
-    another instruction).  Holds {!Telemetry.Guard} for the run; arm
-    sinks/recorders {e before} calling.
+    another instruction).  Telemetry goes to the environment's
+    observation context ({!Pkru_safe.Env.obs}); arm sinks and recorders
+    there.
     @raise Invalid_argument on an empty program list *)
 
 val metrics : result -> Telemetry.Metrics.t

@@ -11,7 +11,7 @@ let ( let* ) r f =
   | Ok v -> f v
   | Error _ as e -> e
 
-let build ?cost ?mu_backend ?profile ?(hosts = []) ~mode source =
+let build ?cost ?mu_backend ?profile ?(hosts = []) ?obs ~mode source =
   let config = Pkru_safe.Config.make ?mu_backend ?cost mode in
   let gates = Pkru_safe.Config.gates_active config in
   let instrument = mode = Pkru_safe.Config.Profiling in
@@ -24,12 +24,12 @@ let build ?cost ?mu_backend ?profile ?(hosts = []) ~mode source =
   let* compiled, pass_stats =
     Ir.Passes.compile ~gates ~instrument ?profile:in_profile ~hosts:host_exists source
   in
-  let* env = Pkru_safe.Env.create ?profile config in
+  let* env = Pkru_safe.Env.create ?profile ?obs config in
   let interp = Interp.create compiled env in
   List.iter (fun (name, factory) -> Interp.register_host interp name (factory env)) hosts;
   Ok { interp; env; pass_stats }
 
-let build_static ?cost ?mu_backend ?(hosts = []) ~mode source =
+let build_static ?cost ?mu_backend ?(hosts = []) ?obs ~mode source =
   (* The analysis needs stable AllocIds: run it on an id-assigned copy, and
      rely on assignment being deterministic so the compile pipeline's own
      pass yields identical ids. *)
@@ -38,7 +38,7 @@ let build_static ?cost ?mu_backend ?(hosts = []) ~mode source =
   let result = Ir.Static_taint.analyze analyzed in
   let profile = Runtime.Profile.create () in
   Runtime.Alloc_id.Set.iter (Runtime.Profile.record profile) result.Ir.Static_taint.shared;
-  let* built = build ?cost ?mu_backend ~profile ~hosts ~mode source in
+  let* built = build ?cost ?mu_backend ~profile ~hosts ?obs ~mode source in
   Ok (built, result)
 
 let collect_profile ?hosts source ~inputs =

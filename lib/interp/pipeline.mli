@@ -26,16 +26,19 @@ val build :
   ?mu_backend:Allocators.Pkalloc.mu_backend ->
   ?profile:Runtime.Profile.t ->
   ?hosts:host_spec list ->
+  ?obs:Telemetry.Obs.t ->
   mode:Pkru_safe.Config.mode ->
   Ir.Module_ir.t ->
   (build, string) result
 (** Compiles the source module for [mode] (running the pass pipeline on a
-    copy) and instantiates a fresh machine + environment. *)
+    copy) and instantiates a fresh machine + environment, with [obs] as
+    its observation context (see {!Pkru_safe.Env.create}). *)
 
 val build_static :
   ?cost:Sim.Cost.t ->
   ?mu_backend:Allocators.Pkalloc.mu_backend ->
   ?hosts:host_spec list ->
+  ?obs:Telemetry.Obs.t ->
   mode:Pkru_safe.Config.mode ->
   Ir.Module_ir.t ->
   (build * Ir.Static_taint.result, string) result

@@ -7,10 +7,11 @@ type t = {
   mutable wrpkru_retired : int;
   mutable pkru_epoch : int;
   retired_acc : int ref;
+  obs : Telemetry.Obs.t;
   tlb : Tlb.t;
 }
 
-let create ?(cost = Cost.default) ?(id = 0) ?retired () =
+let create ?(cost = Cost.default) ?(id = 0) ?retired ~obs () =
   let retired_acc = match retired with Some r -> r | None -> ref 0 in
   {
     id;
@@ -21,24 +22,33 @@ let create ?(cost = Cost.default) ?(id = 0) ?retired () =
     wrpkru_retired = 0;
     pkru_epoch = 0;
     retired_acc;
+    obs;
     tlb = Tlb.create ();
   }
 
+(* Out of line, so that with neither armed [charge] is three loads and
+   two tests, with nothing kept live across a call. *)
+let tick_observers t (obs : Telemetry.Obs.t) n =
+  (match obs.sampler with
+  | None -> ()
+  | Some sampler -> Telemetry.Sampler.tick sampler ~provider:obs.sampler_provider n);
+  match obs.census with
+  | None -> ()
+  | Some census ->
+    Telemetry.Census.tick census ~provider:obs.census_provider ~sink:obs.sink ~cpu:t.id n
+
 (* Every retired cycle flows through here, so this is where the sampling
-   profiler and the heap census tick and where the machine-wide retired
-   accumulator grows (keeping [Machine.total_cycles] O(1) instead of a
-   fold over harts).  The ticks charge nothing back, so sampled/censused
-   and plain runs retire identical cycle counts; disabled, the cost is
-   one load and one branch each, same as the sink discipline. *)
+   profiler and the heap census armed in the machine's observation
+   context tick and where the machine-wide retired accumulator grows
+   (keeping [Machine.total_cycles] O(1) instead of a fold over harts).
+   The ticks charge nothing back, so sampled/censused and plain runs
+   retire identical cycle counts. *)
 let charge t n =
   t.cycles <- t.cycles + n;
   t.retired_acc := !(t.retired_acc) + n;
-  (match !Telemetry.Sampler.current with
-  | None -> ()
-  | Some sampler -> Telemetry.Sampler.tick sampler n);
-  match !Telemetry.Census.current with
-  | None -> ()
-  | Some census -> Telemetry.Census.tick census ~cpu:t.id n
+  match t.obs with
+  | { Telemetry.Obs.sampler = None; census = None; _ } -> ()
+  | obs -> tick_observers t obs n
 
 (* All intentional PKRU updates come through here so the epoch advances
    and cached permission masks in the hart's TLB go stale.  (Direct
@@ -52,7 +62,7 @@ let wrpkru t v =
   charge t t.cost.Cost.wrpkru;
   t.wrpkru_retired <- t.wrpkru_retired + 1;
   set_pkru t v;
-  match !Telemetry.Sink.current with
+  match t.obs.Telemetry.Obs.sink with
   | None -> ()
   | Some sink ->
     Telemetry.Sink.emit sink ~ts:t.cycles ~cpu:t.id

@@ -18,19 +18,22 @@ type t = {
   retired_acc : int ref;
       (** machine-wide retired-cycle accumulator shared by all harts of
           one {!Machine}, kept current by {!charge} / {!reset_cycles} *)
+  obs : Telemetry.Obs.t;
+      (** the observation context of this hart's {!Machine}, shared by
+          all its harts like [retired_acc] *)
   tlb : Tlb.t;  (** this hart's software TLB (architecturally invisible) *)
 }
 
-val create : ?cost:Cost.t -> ?id:int -> ?retired:int ref -> unit -> t
+val create : ?cost:Cost.t -> ?id:int -> ?retired:int ref -> obs:Telemetry.Obs.t -> unit -> t
 (** Fresh CPU with PKRU fully enabled (kernel default for a new thread).
     [retired] shares the machine-wide cycle accumulator; a fresh ref is
-    used when absent (standalone CPUs in tests). *)
+    used when absent. *)
 
 val charge : t -> int -> unit
 (** [charge cpu n] retires [n] cycles of straight-line work, grows the
-    shared accumulator and ticks the installed {!Telemetry.Sampler}
-    (which charges nothing back, keeping sampled and unsampled cycle
-    counts identical). *)
+    shared accumulator and ticks the sampler and census armed in
+    [cpu.obs] (which charge nothing back, keeping sampled and unsampled
+    cycle counts identical). *)
 
 val set_pkru : t -> Mpk.Pkru.t -> unit
 (** Replaces the register and bumps {!field-pkru_epoch}, staling every

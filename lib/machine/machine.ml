@@ -6,6 +6,7 @@ type t = {
   signals : Signals.t;
   pkeys : Vmm.Pkeys.t;
   retired : int ref;
+  obs : Telemetry.Obs.t;
   tlb_enabled : bool;
   (* Garmr syscall filter: when [Some trusted], kernel-interface entry
      points ([sys_pkey_mprotect] & co) refuse pkey/page-table mutations
@@ -16,23 +17,24 @@ type t = {
   mutable syscall_filter : Mpk.Pkey.t option;
 }
 
-let create ?cost ?(tlb = true) () =
+let create ?cost ?(tlb = true) ?(obs = Telemetry.Obs.ambient) () =
   let retired = ref 0 in
-  let boot = Cpu.create ?cost ~id:0 ~retired () in
+  let boot = Cpu.create ?cost ~id:0 ~retired ~obs () in
   {
     page_table = Vmm.Page_table.create ();
     cpu = boot;
     cpus_rev = [ boot ];
     ncpus = 1;
-    signals = Signals.create ();
+    signals = Signals.create ~obs ();
     pkeys = Vmm.Pkeys.create ();
     retired;
+    obs;
     tlb_enabled = tlb;
     syscall_filter = None;
   }
 
 let spawn_cpu t =
-  let cpu = Cpu.create ~cost:t.cpu.Cpu.cost ~id:t.ncpus ~retired:t.retired () in
+  let cpu = Cpu.create ~cost:t.cpu.Cpu.cost ~id:t.ncpus ~retired:t.retired ~obs:t.obs () in
   t.cpus_rev <- cpu :: t.cpus_rev;
   t.ncpus <- t.ncpus + 1;
   cpu
@@ -53,7 +55,7 @@ let tlb_stats t =
     Tlb.zero_stats t.cpus_rev
 
 let note_thread_switch t ~from_cpu ~to_cpu =
-  match !Telemetry.Sink.current with
+  match t.obs.Telemetry.Obs.sink with
   | None -> ()
   | Some sink ->
     Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:to_cpu
@@ -111,7 +113,7 @@ let probe t access addr =
    time handler servicing (the cycles charged between dispatch and the
    handler's return, i.e. signal dispatch plus whatever the handler ran). *)
 let note_fault t (fault : Vmm.Fault.t) =
-  match !Telemetry.Sink.current with
+  match t.obs.Telemetry.Obs.sink with
   | None -> ()
   | Some sink ->
     let ts = total_cycles t in
@@ -136,7 +138,7 @@ let deliver_fault t fault =
   note_fault t fault;
   let before = total_cycles t in
   Signals.deliver_segv t.signals ~cpu:t.cpu fault;
-  match !Telemetry.Sink.current with
+  match t.obs.Telemetry.Obs.sink with
   | None -> ()
   | Some sink -> Telemetry.Sink.observe sink "fault_service_cycles" (total_cycles t - before)
 
@@ -158,7 +160,7 @@ let resolve t access addr =
     | Some page ->
       if Vmm.Page_table.demand_faults t.page_table > faults_before then begin
         Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.soft_page_fault;
-        match !Telemetry.Sink.current with
+        match t.obs.Telemetry.Obs.sink with
         | None -> ()
         | Some sink ->
           Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
@@ -208,7 +210,7 @@ let post_access t =
   if t.cpu.Cpu.trap_flag then begin
     t.cpu.Cpu.trap_flag <- false;
     Cpu.charge t.cpu t.cpu.Cpu.cost.Cost.signal_dispatch;
-    (match !Telemetry.Sink.current with
+    (match t.obs.Telemetry.Obs.sink with
     | None -> ()
     | Some sink ->
       Telemetry.Sink.emit sink ~ts:(total_cycles t) ~cpu:t.cpu.Cpu.id
@@ -443,8 +445,8 @@ let cycles = total_cycles
 let set_syscall_filter t key = t.syscall_filter <- key
 let syscall_filter t = t.syscall_filter
 
-let sys_note counter =
-  match !Telemetry.Sink.current with
+let sys_note t counter =
+  match t.obs.Telemetry.Obs.sink with
   | None -> ()
   | Some sink -> Telemetry.Sink.incr sink counter
 
@@ -454,8 +456,8 @@ let syscall_check t name =
   | Some trusted ->
     if Mpk.Pkru.can_read t.cpu.Cpu.pkru trusted then Ok ()
     else begin
-      sys_note "machine.syscall_refused";
-      Telemetry.Flight.dump ~reason:"syscall filter: pkey/page-table mutation refused from U"
+      sys_note t "machine.syscall_refused";
+      Telemetry.Obs.dump t.obs ~reason:"syscall filter: pkey/page-table mutation refused from U"
         ~details:
           [
             ("syscall", Util.Json.String name);
@@ -471,26 +473,26 @@ let sys_pkey_mprotect t ~base ~size pkey =
   match syscall_check t "pkey_mprotect" with
   | Error _ as e -> e
   | Ok () ->
-    sys_note "machine.sys_pkey_mprotect";
+    sys_note t "machine.sys_pkey_mprotect";
     Vmm.Page_table.pkey_mprotect t.page_table ~base ~size pkey
 
 let sys_mprotect t ~base ~size prot =
   match syscall_check t "mprotect" with
   | Error _ as e -> e
   | Ok () ->
-    sys_note "machine.sys_mprotect";
+    sys_note t "machine.sys_mprotect";
     Vmm.Page_table.mprotect t.page_table ~base ~size prot
 
 let sys_pkey_alloc t =
   match syscall_check t "pkey_alloc" with
   | Error msg -> Error msg
   | Ok () ->
-    sys_note "machine.sys_pkey_alloc";
+    sys_note t "machine.sys_pkey_alloc";
     Vmm.Pkeys.pkey_alloc t.pkeys
 
 let sys_pkey_free t key =
   match syscall_check t "pkey_free" with
   | Error _ as e -> e
   | Ok () ->
-    sys_note "machine.sys_pkey_free";
+    sys_note t "machine.sys_pkey_free";
     Vmm.Pkeys.pkey_free t.pkeys key

@@ -34,6 +34,10 @@ type t = {
   pkeys : Vmm.Pkeys.t; (** the kernel's pkey_alloc/pkey_free state *)
   retired : int ref;
       (** machine-wide retired-cycle accumulator, shared with every hart *)
+  obs : Telemetry.Obs.t;
+      (** this machine's observation context, shared with every hart and
+          the signal chain: every telemetry site on the machine reads its
+          slots *)
   tlb_enabled : bool;
   mutable syscall_filter : Mpk.Pkey.t option;
       (** Garmr syscall filter: when [Some trusted_key], the [sys_*]
@@ -42,10 +46,13 @@ type t = {
           permissive. *)
 }
 
-val create : ?cost:Cost.t -> ?tlb:bool -> unit -> t
+val create : ?cost:Cost.t -> ?tlb:bool -> ?obs:Telemetry.Obs.t -> unit -> t
 (** [tlb] (default [true]) enables the software TLB on every hart; pass
     [false] to force every access down the slow resolve path (used by the
-    equivalence test and the TLB microbench baseline). *)
+    equivalence test and the TLB microbench baseline).  [obs] is the
+    machine's observation context; without one the machine shares
+    {!Telemetry.Obs.ambient}, which [Telemetry.Sink.with_sink] and the
+    other ambient wrappers arm. *)
 
 (* {2 Threads}
 

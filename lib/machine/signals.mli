@@ -29,7 +29,9 @@ exception Process_killed of string
 
 type t
 
-val create : unit -> t
+val create : obs:Telemetry.Obs.t -> unit -> t
+(** [obs] is the owning machine's observation context: delivery counters
+    go to its sink and death paths dump to its flight recorder. *)
 
 val register_segv : t -> segv_handler -> unit
 (** Pushes a handler; it becomes the first to see subsequent faults. *)

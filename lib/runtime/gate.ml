@@ -66,7 +66,7 @@ let switch_to t event target =
   | Some corrupt -> Sim.Cpu.wrpkru cpu (corrupt target));
   let now = Sim.Cpu.rdpkru cpu in
   if not (Mpk.Pkru.equal now target) then begin
-    Telemetry.Flight.dump ~reason:"gate PKRU verification mismatch"
+    Telemetry.Obs.dump t.machine.Sim.Machine.obs ~reason:"gate PKRU verification mismatch"
       ~details:
         [
           ("transition", Util.Json.String (transition_name event));
@@ -82,7 +82,7 @@ let switch_to t event target =
   end;
   t.resident <- target;
   t.transitions <- t.transitions + 1;
-  match !Telemetry.Sink.current with
+  match t.machine.Sim.Machine.obs.Telemetry.Obs.sink with
   | None -> ()
   | Some sink ->
     Telemetry.Sink.emit sink ~ts:(Sim.Machine.cycles t.machine) ~cpu:cpu.Sim.Cpu.id event
@@ -94,7 +94,7 @@ let switch_to t event target =
    PKRU stack so exits close exactly the frame they pop (and an exception
    unwinding several frames closes the abandoned inner spans too). *)
 let span_open t name =
-  match !Telemetry.Sink.current with
+  match t.machine.Sim.Machine.obs.Telemetry.Obs.sink with
   | None -> t.span_ids <- 0 :: t.span_ids
   | Some sink ->
     let id =
@@ -109,7 +109,7 @@ let span_close t =
   | [] -> ()
   | id :: rest -> (
     t.span_ids <- rest;
-    match !Telemetry.Sink.current with
+    match t.machine.Sim.Machine.obs.Telemetry.Obs.sink with
     | None -> ()
     | Some sink ->
       if id <> 0 then
@@ -140,7 +140,7 @@ let exit_trusted t =
   span_close t
 
 let bracketed t ~enter ~exit ~latency f =
-  match !Telemetry.Sink.current with
+  match t.machine.Sim.Machine.obs.Telemetry.Obs.sink with
   | None ->
     enter t;
     Fun.protect ~finally:(fun () -> exit t) f
@@ -177,7 +177,8 @@ let reverify ?attack t =
   let cpu = cpu t in
   let now = cpu.Sim.Cpu.pkru in
   if not (Mpk.Pkru.equal now t.resident) then begin
-    Telemetry.Flight.dump ~reason:"resume gate: PKRU re-verification mismatch"
+    Telemetry.Obs.dump t.machine.Sim.Machine.obs
+      ~reason:"resume gate: PKRU re-verification mismatch"
       ~details:
         ([
            ("expected_pkru", Util.Json.Int (Mpk.Pkru.to_int t.resident));

@@ -10,7 +10,7 @@
     target the gate is meant to enforce and otherwise exits the application
     ("will otherwise exit the application if the values are mismatched").
 
-    With a telemetry sink installed, every compartment residency is also
+    With a telemetry sink armed, every compartment residency is also
     bracketed by a causal span ({!Telemetry.Span}, kind [Gate]) opened
     {e before} the verifying write — so if the verify kills the process
     the span is still open and the flight recorder's causal chain names

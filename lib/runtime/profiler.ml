@@ -31,13 +31,13 @@ let on_segv t (fault : Vmm.Fault.t) =
     | Some record -> Profile.record t.profile record.Metadata.alloc_id
     | None ->
       t.untracked_faults <- t.untracked_faults + 1;
-      (match !Telemetry.Sink.current with
+      (match t.machine.Sim.Machine.obs.Telemetry.Obs.sink with
       | None -> ()
       | Some sink -> Telemetry.Sink.incr sink "profiler.untracked_faults"));
     t.faults_serviced <- t.faults_serviced + 1;
     let cpu = t.machine.Sim.Machine.cpu in
     Hashtbl.replace t.saved_pkru cpu.Sim.Cpu.id cpu.Sim.Cpu.pkru;
-    if !Telemetry.Sink.current <> None then
+    if t.machine.Sim.Machine.obs.Telemetry.Obs.sink <> None then
       Hashtbl.replace t.step_started cpu.Sim.Cpu.id (Sim.Machine.cycles t.machine);
     Sim.Cpu.set_pkru cpu Mpk.Pkru.all_enabled;
     cpu.Sim.Cpu.trap_flag <- true;
@@ -55,7 +55,9 @@ let on_trap t () =
     Hashtbl.remove t.saved_pkru cpu.Sim.Cpu.id;
     (* Fault-to-trap round trip: the full single-step servicing of one
        recorded access (dispatch, permissive re-execution, #DB restore). *)
-    (match (!Telemetry.Sink.current, Hashtbl.find_opt t.step_started cpu.Sim.Cpu.id) with
+    (match
+       (t.machine.Sim.Machine.obs.Telemetry.Obs.sink, Hashtbl.find_opt t.step_started cpu.Sim.Cpu.id)
+     with
     | Some sink, Some started ->
       Hashtbl.remove t.step_started cpu.Sim.Cpu.id;
       Telemetry.Sink.observe sink "single_step_cycles" (Sim.Machine.cycles t.machine - started)

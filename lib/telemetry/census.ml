@@ -1,9 +1,9 @@
 (* The continuous heap census.  The machine's charge path ticks the
-   installed census with every batch of retired cycles; each time a whole
-   census period elapses, the census asks the registered provider for a
-   snapshot of allocator state — per-pool live bytes / objects /
-   fragmentation plus per-AllocId live bytes and a log2 object-age
-   histogram — and stores it in a bounded ring.
+   census armed in its observation context with every batch of retired
+   cycles; each time a whole census period elapses, the census asks the
+   context's provider for a snapshot of allocator state — per-pool live
+   bytes / objects / fragmentation plus per-AllocId live bytes and a log2
+   object-age histogram — and stores it in a bounded ring.
 
    The telemetry library cannot see the allocators, so snapshots are
    generic records built by the provider (the runtime environment, which
@@ -62,58 +62,27 @@ let taken_total t = t.taken
 let snapshots t = Ring.to_list t.ring
 let latest t = t.latest
 
-(* The process-wide census, matched directly by Cpu.charge. *)
-let current : t option ref = ref None
-
-(* Snapshot provider: reads pkalloc / pool / per-site census state.
-   Registered by the runtime layer that owns the allocators; must not
-   charge simulated cycles (pure OCaml reads only). *)
-let provider : (unit -> snapshot) option ref = ref None
-
 let record t snap =
   t.taken <- t.taken + 1;
   Ring.push t.ring snap;
   t.latest <- Some snap
 
-let tick t ~cpu n =
+let tick t ~provider ~sink ~cpu n =
   t.credit <- t.credit + n;
   if t.credit >= t.every then begin
     (* A single large charge may span several periods; the allocator
        state is the same for all of them, so one snapshot is taken and
        the leftover credit keeps the cadence aligned. *)
     t.credit <- t.credit mod t.every;
-    match !provider with
+    match provider with
     | None -> ()
     | Some f ->
       let snap = f () in
       record t snap;
-      (match !Sink.current with
+      (match sink with
       | None -> ()
       | Some sink -> Sink.span_instant sink ~ts:snap.at_cycle ~cpu ~kind:Span.Census "census")
   end
-
-let install ?provider:p t =
-  Guard.check "Telemetry.Census.install";
-  current := Some t;
-  match p with Some _ -> provider := p | None -> ()
-
-let disable () =
-  current := None;
-  provider := None
-
-let active () = !current <> None
-
-let with_census ?provider:p t f =
-  Guard.check "Telemetry.Census.with_census";
-  let previous = !current in
-  let previous_provider = !provider in
-  current := Some t;
-  (match p with Some _ -> provider := p | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      current := previous;
-      provider := previous_provider)
-    f
 
 (* --- JSON --- *)
 

@@ -2,12 +2,13 @@
     allocator state.
 
     Every [every] simulated cycles (ticked from the machine's charge
-    path) the census calls the registered {!val-provider} and stores the
-    returned {!snapshot} — per-pool (MT/MU) live bytes, object counts,
+    path) the census calls the provider in the machine's observation
+    context ({!Obs.t.census_provider}) and stores the returned
+    {!snapshot} — per-pool (MT/MU) live bytes, object counts,
     fragmentation and high-water marks, per-AllocId live bytes, and a
     log₂ histogram of live-object ages — in a bounded ring.  Each
-    snapshot also records a zero-duration [census] span on the active
-    sink (span recording only: the event trace is untouched).
+    snapshot also records a zero-duration [census] span on the same
+    context's sink (span recording only: the event trace is untouched).
 
     The provider does not walk the heap: the runtime environment keeps
     per-(AllocId, pool) live counters current on every tracked alloc,
@@ -60,32 +61,17 @@ val create : ?keep:int -> every:int -> unit -> t
 
 val every : t -> int
 
-(* {2 The process-wide census} *)
-
-val current : t option ref
-(** Matched directly by [Sim.Cpu.charge]; [None] compiles the layer down
-    to a load-and-branch. *)
-
-val provider : (unit -> snapshot) option ref
-(** Builds one snapshot from live allocator state.  Registered by the
-    layer that owns pkalloc and the live-object table; must not charge
-    simulated cycles (pure OCaml reads only). *)
-
-val install : ?provider:(unit -> snapshot) -> t -> unit
-val disable : unit -> unit
-val active : unit -> bool
-
-val with_census : ?provider:(unit -> snapshot) -> t -> (unit -> 'a) -> 'a
-(** Installs the census (and provider, when given) for the duration of
-    the callback, restoring both afterwards (exception-safe). *)
-
 (* {2 Recording} *)
 
-val tick : t -> cpu:int -> int -> unit
+val tick :
+  t -> provider:(unit -> snapshot) option -> sink:Sink.t option -> cpu:int -> int -> unit
 (** Advances the cycle credit by [n]; takes one snapshot when a period
     boundary is crossed (a single large charge spanning several periods
     still takes one snapshot — allocator state is identical for all of
-    them — with leftover credit preserving the cadence). *)
+    them — with leftover credit preserving the cadence).  [provider]
+    builds the snapshot from live allocator state and must not charge
+    simulated cycles; without one, a boundary takes no snapshot.  The
+    snapshot's [census] span goes to [sink]. *)
 
 (* {2 Reading} *)
 

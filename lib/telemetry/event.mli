@@ -2,7 +2,7 @@
 
     Every observable action inside the simulated machine is one of these
     typed events; the instrumented subsystems construct them only when a
-    sink is installed, so a disabled run allocates nothing.  Timestamps
+    sink is armed, so a disabled run allocates nothing.  Timestamps
     are simulated cycles ({!Sim.Machine.cycles} at emission), which makes
     traces deterministic and replayable. *)
 

@@ -8,14 +8,15 @@
    degradation, chaos invariant failures.  Dumps are kept in memory
    (bounded) and optionally written to a file for the `doctor` CLI.
 
-   Nothing here runs unless [dump] is called, and [dump] is only called
+   A recorder is armed by filling the [flight] slot of a machine's
+   observation context; dumps read the sink from the same context.
+   Nothing here runs unless [record] is called, and it is only called
    on failure paths — the recorder costs nothing on the happy path and
    never charges simulated cycles. *)
 
 let schema_version = "pkru-safe.flight/1"
 
 type t = {
-  mutable sink : Sink.t option; (* explicit attachment; else !Sink.current at dump time *)
   mutable context : (unit -> Util.Json.t) option;
   mutable dumps : Util.Json.t list; (* newest first, bounded *)
   mutable dump_total : int;
@@ -23,26 +24,9 @@ type t = {
   max_dumps : int;
 }
 
-let current : t option ref = ref None
-
 let create ?path ?(max_dumps = 8) () =
-  { sink = None; context = None; dumps = []; dump_total = 0; path; max_dumps }
+  { context = None; dumps = []; dump_total = 0; path; max_dumps }
 
-let arm ?path ?max_dumps () =
-  Guard.check "Telemetry.Flight.arm";
-  let t = create ?path ?max_dumps () in
-  current := Some t;
-  t
-
-let disarm () = current := None
-
-let with_recorder t f =
-  Guard.check "Telemetry.Flight.with_recorder";
-  let previous = !current in
-  current := Some t;
-  Fun.protect ~finally:(fun () -> current := previous) f
-
-let attach_sink t sink = t.sink <- Some sink
 let set_context t provider = t.context <- Some provider
 
 let dumps t = List.rev t.dumps
@@ -55,9 +39,8 @@ let tail n list =
   let len = List.length list in
   if len <= n then list else List.filteri (fun i _ -> i >= len - n) list
 
-let dump_json t ~reason ~details =
+let dump_json t ~sink ~reason ~details =
   let open Util.Json in
-  let sink = match t.sink with Some s -> Some s | None -> !Sink.current in
   let sink_fields =
     match sink with
     | None -> [ ("telemetry", Null) ]
@@ -104,18 +87,12 @@ let write_path t json =
     try Out_channel.with_open_text path (fun oc -> output_string oc (Util.Json.to_string_pretty json ^ "\n"))
     with Sys_error _ -> () (* a failing disk must not mask the original failure *))
 
-let record t ~reason ~details =
-  let json = dump_json t ~reason ~details in
+let record t ~sink ~reason ~details =
+  let json = dump_json t ~sink ~reason ~details in
   t.dump_total <- t.dump_total + 1;
   t.dumps <- json :: (if List.length t.dumps >= t.max_dumps then tail (t.max_dumps - 1) (List.rev t.dumps) |> List.rev else t.dumps);
   write_path t json;
   json
-
-(* The instrumentation-site entry point: a no-op when disarmed. *)
-let dump ?(details = []) ~reason () =
-  match !current with
-  | None -> ()
-  | Some t -> ignore (record t ~reason ~details)
 
 (* --- doctor: render a dump into a human-readable incident report --- *)
 

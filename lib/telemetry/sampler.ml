@@ -1,8 +1,8 @@
 (* The cycle-driven sampling profiler.  The machine's charge path ticks
-   the installed sampler with every batch of retired cycles; each time a
-   whole sampling period elapses the sampler snapshots the current
-   compartment stack (via the registered provider) into a folded-stack
-   count.  Output is the standard flamegraph collapsed format:
+   the sampler armed in its observation context with every batch of
+   retired cycles; each time a whole sampling period elapses the sampler
+   snapshots the current compartment stack (via the context's provider)
+   into a folded-stack count.  Output is the standard flamegraph collapsed format:
    "frame;frame;frame <samples>" per line.
 
    Like the sink, the sampler charges no simulated cycles and the disabled
@@ -22,14 +22,6 @@ let create ~every =
 
 let every t = t.every
 
-(* The process-wide sampler, matched directly by Cpu.charge. *)
-let current : t option ref = ref None
-
-(* Snapshot provider: returns the current compartment stack, root first.
-   Registered by the runtime layer that owns the stack (Env/Gate); the
-   telemetry library cannot depend on it directly. *)
-let provider : (unit -> string list) option ref = ref None
-
 let record t frames weight =
   let key = String.concat ";" frames in
   (match Hashtbl.find_opt t.counts key with
@@ -37,14 +29,14 @@ let record t frames weight =
   | None -> Hashtbl.add t.counts key (ref weight));
   t.total <- t.total + weight
 
-let tick t n =
+let tick t ~provider n =
   t.credit <- t.credit + n;
   if t.credit >= t.every then begin
     (* A single large charge may span several periods: each contributes
        one sample so sample counts stay proportional to cycles. *)
     let k = t.credit / t.every in
     t.credit <- t.credit - (k * t.every);
-    let frames = match !provider with Some f -> f () | None -> [ "(no stack provider)" ] in
+    let frames = match provider with Some f -> f () | None -> [ "(no stack provider)" ] in
     record t frames k
   end
 
@@ -92,26 +84,3 @@ let to_json t =
       ( "leaf_shares",
         Obj (List.map (fun (leaf, share) -> (leaf, Float share)) (leaf_shares t)) );
     ]
-
-let install ?provider:p t =
-  Guard.check "Telemetry.Sampler.install";
-  current := Some t;
-  match p with Some _ -> provider := p | None -> ()
-
-let disable () =
-  current := None;
-  provider := None
-
-let active () = !current <> None
-
-let with_sampler ?provider:p t f =
-  Guard.check "Telemetry.Sampler.with_sampler";
-  let previous = !current in
-  let previous_provider = !provider in
-  current := Some t;
-  (match p with Some _ -> provider := p | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      current := previous;
-      provider := previous_provider)
-    f

@@ -2,8 +2,9 @@
 
     Every [every] simulated cycles (ticked from the machine's charge
     path), the sampler snapshots the current compartment stack — obtained
-    from the registered {!val-provider} — and accumulates it as a folded
-    stack.  {!to_folded} emits the standard collapsed format
+    from the provider in the machine's observation context
+    ({!Obs.t.sampler_provider}) — and accumulates it as a folded stack.
+    {!to_folded} emits the standard collapsed format
     ["frame;frame;frame count"] that flamegraph tooling (Brendan Gregg's
     [flamegraph.pl], speedscope, inferno) loads directly.
 
@@ -18,31 +19,15 @@ val create : every:int -> t
 
 val every : t -> int
 
-(* {2 The process-wide sampler} *)
-
-val current : t option ref
-(** Matched directly by [Sim.Cpu.charge]; [None] compiles the layer down
-    to a load-and-branch. *)
-
-val provider : (unit -> string list) option ref
-(** Returns the current compartment stack, root first (e.g.
-    [["trusted"; "untrusted"]] inside an FFI call).  Registered by the
-    layer that owns the compartment stack; must not charge cycles. *)
-
-val install : ?provider:(unit -> string list) -> t -> unit
-val disable : unit -> unit
-val active : unit -> bool
-
-val with_sampler : ?provider:(unit -> string list) -> t -> (unit -> 'a) -> 'a
-(** Installs sampler (and provider, when given) for the duration of the
-    callback, restoring both afterwards (exception-safe). *)
-
 (* {2 Recording} *)
 
-val tick : t -> int -> unit
+val tick : t -> provider:(unit -> string list) option -> int -> unit
 (** Advances the cycle credit by [n]; takes one sample per whole period
     elapsed (a single large charge spanning k periods records k samples
-    against the same stack, keeping samples proportional to cycles). *)
+    against the same stack, keeping samples proportional to cycles).
+    [provider] returns the current compartment stack, root first (e.g.
+    [["trusted"; "untrusted"]] inside an FFI call); it must not charge
+    cycles.  Without one, samples land on ["(no stack provider)"]. *)
 
 (* {2 Reading} *)
 

@@ -68,9 +68,10 @@ let inject_counters sink ~tlb_before browser =
   Telemetry.Sink.incr sink ~by:sel.Browser.sel_misses "engine_selector_miss"
 
 let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation ?engine_tier
-    ~mode ~profile (bench : Bench_def.bench) =
+    ?(obs = Telemetry.Obs.create ()) ~mode ~profile (bench : Bench_def.bench) =
   let env =
-    fail_on_error (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make ?tlb ?mitigation mode))
+    fail_on_error
+      (Pkru_safe.Env.create ~profile ~obs (Pkru_safe.Config.make ?tlb ?mitigation mode))
   in
   (* Census tracking must cover page-load allocations too: objects built
      during setup are still live — and ageing — when the timed script
@@ -84,37 +85,22 @@ let run_config ?(telemetry = false) ?sample_every ?census_every ?tlb ?mitigation
      deltas injected below describe this timed run only. *)
   Engine.reset_stats (Browser.engine browser);
   Browser.reset_selector_stats browser;
-  let exec () = ignore (Browser.exec_script ?tier:engine_tier browser bench.Bench_def.script) in
+  (* Sink, sampler and census observe the timed script run only. *)
   let sampler = Option.map (fun every -> Telemetry.Sampler.create ~every) sample_every in
-  let exec =
-    match sampler with
-    | None -> exec
-    | Some s ->
-      fun () ->
-        Telemetry.Sampler.with_sampler ~provider:(fun () -> Pkru_safe.Env.stack_frames env) s
-          exec
-  in
+  obs.Telemetry.Obs.sampler <- sampler;
+  obs.Telemetry.Obs.sampler_provider <- Some (fun () -> Pkru_safe.Env.stack_frames env);
   let census = Option.map (fun every -> Telemetry.Census.create ~every ()) census_every in
-  let exec =
-    match census with
-    | None -> exec
-    | Some c ->
-      fun () ->
-        Telemetry.Census.with_census ~provider:(Pkru_safe.Env.census_snapshot env) c exec
-  in
-  let trace =
-    if telemetry then begin
-      let sink = Telemetry.Sink.create () in
-      let tlb_before = Sim.Machine.tlb_stats (Pkru_safe.Env.machine env) in
-      Telemetry.Sink.with_sink sink exec;
-      inject_counters sink ~tlb_before browser;
-      Some sink
-    end
-    else begin
-      exec ();
-      None
-    end
-  in
+  obs.Telemetry.Obs.census <- census;
+  obs.Telemetry.Obs.census_provider <- Some (Pkru_safe.Env.census_snapshot env);
+  let trace = if telemetry then Some (Telemetry.Sink.create ()) else None in
+  obs.Telemetry.Obs.sink <- trace;
+  let exec () = ignore (Browser.exec_script ?tier:engine_tier browser bench.Bench_def.script) in
+  (match trace with
+  | None -> exec ()
+  | Some sink ->
+    let tlb_before = Sim.Machine.tlb_stats (Pkru_safe.Env.machine env) in
+    exec ();
+    inject_counters sink ~tlb_before browser);
   let mt_bytes, mu_bytes = Pkru_safe.Env.t_heap_bytes env in
   {
     cycles = Pkru_safe.Env.cycles env;

@@ -73,15 +73,16 @@ val run_config :
   ?tlb:bool ->
   ?mitigation:Runtime.Mitigator.policy ->
   ?engine_tier:Engine.tier ->
+  ?obs:Telemetry.Obs.t ->
   mode:Pkru_safe.Config.mode ->
   profile:Runtime.Profile.t ->
   Bench_def.bench ->
   measurement
 (** One benchmark under one configuration (fresh machine; counters are
     reset after page load so the script execution is what is timed).
-    With [~telemetry:true] a fresh sink is installed for the duration of
-    the timed script and returned in the measurement's [trace] field,
-    with {!inject_counters} applied after it finishes.  With [~sample_every:n] a {!Telemetry.Sampler}
+    With [~telemetry:true] a fresh sink is armed for the timed script and
+    returned in the measurement's [trace] field, with {!inject_counters}
+    applied after it finishes.  With [~sample_every:n] a {!Telemetry.Sampler}
     snapshots the thread's compartment stack every [n] simulated cycles
     and is returned in [samples].  With [~census_every:n] a
     {!Telemetry.Census} snapshots the heap every [n] simulated cycles
@@ -91,7 +92,10 @@ val run_config :
     [tlb] forwards to {!Pkru_safe.Config.make} (default on), as does
     [mitigation] (a fault-recovery policy for [Mpk] runs; default none).
     [engine_tier] selects the engine execution tier for the timed script
-    (default AST). *)
+    (default AST).  [obs] (default a fresh one) becomes the run's
+    observation context: the sink, sampler and census above are armed in
+    its slots when the timed script starts, and a flight recorder the
+    caller armed in it sees the whole run. *)
 
 val run_bench :
   ?telemetry:bool ->

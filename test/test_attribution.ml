@@ -174,13 +174,13 @@ let test_metrics_expose_format () =
 
 let test_sampler_credit_accumulation () =
   let s = Telemetry.Sampler.create ~every:10 in
-  Telemetry.Sampler.with_sampler ~provider:(fun () -> [ "trusted"; "untrusted" ]) s (fun () ->
-      Telemetry.Sampler.tick s 25;
-      (* 2 periods elapsed, 5 credit left *)
-      Telemetry.Sampler.tick s 4;
-      (* still under the period: no sample *)
-      Telemetry.Sampler.tick s 1
-      (* credit reaches 10: one more *));
+  let provider = Some (fun () -> [ "trusted"; "untrusted" ]) in
+  Telemetry.Sampler.tick s ~provider 25;
+  (* 2 periods elapsed, 5 credit left *)
+  Telemetry.Sampler.tick s ~provider 4;
+  (* still under the period: no sample *)
+  Telemetry.Sampler.tick s ~provider 1;
+  (* credit reaches 10: one more *)
   Alcotest.(check int) "samples proportional to cycles" 3 (Telemetry.Sampler.samples_total s);
   Alcotest.(check (list (pair string int))) "folded stack" [ ("trusted;untrusted", 3) ]
     (Telemetry.Sampler.stacks s);
@@ -188,11 +188,22 @@ let test_sampler_credit_accumulation () =
   Alcotest.(check (list (pair string (float 1e-9)))) "leaf shares" [ ("untrusted", 1.0) ]
     (Telemetry.Sampler.leaf_shares s)
 
+(* The ambient wrapper restores sampler and provider when its callback
+   raises: a machine built without a context keeps sampling into the
+   outer sampler, under the outer provider, and nothing after it. *)
 let test_sampler_restores_on_raise () =
-  Alcotest.(check bool) "inactive by default" false (Telemetry.Sampler.active ());
-  let s = Telemetry.Sampler.create ~every:4 in
-  (try Telemetry.Sampler.with_sampler s (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check bool) "restored after raise" false (Telemetry.Sampler.active ());
+  let cpu = (Sim.Machine.create ()).Sim.Machine.cpu in
+  let outer = Telemetry.Sampler.create ~every:4 and inner = Telemetry.Sampler.create ~every:4 in
+  Telemetry.Sampler.with_sampler ~provider:(fun () -> [ "outer" ]) outer (fun () ->
+      (try
+         Telemetry.Sampler.with_sampler ~provider:(fun () -> [ "inner" ]) inner (fun () ->
+             failwith "boom")
+       with Failure _ -> ());
+      Sim.Cpu.charge cpu 4);
+  Sim.Cpu.charge cpu 4;
+  Alcotest.(check (list (pair string int))) "outer sampler and provider restored"
+    [ ("outer", 1) ] (Telemetry.Sampler.stacks outer);
+  Alcotest.(check int) "inner sampler saw nothing" 0 (Telemetry.Sampler.samples_total inner);
   Alcotest.check_raises "period must be positive"
     (Invalid_argument "Sampler.create: every must be positive") (fun () ->
       ignore (Telemetry.Sampler.create ~every:0))

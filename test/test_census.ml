@@ -193,21 +193,19 @@ let test_census_metrics_export () =
 (* (7) A flight dump taken while a census is live embeds the latest
    snapshot, and the doctor renderer prints it. *)
 let test_flight_dump_embeds_census () =
-  let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Mpk)) in
+  let obs = Telemetry.Obs.create () in
+  let env = ok (Pkru_safe.Env.create ~obs (Pkru_safe.Config.make Pkru_safe.Config.Mpk)) in
   Pkru_safe.Env.track_census env;
   let site = Runtime.Alloc_id.make ~func_id:1 ~block_id:1 ~call_id:1 in
   let _ = Pkru_safe.Env.alloc env ~site 64 in
-  let census = Telemetry.Census.create ~every:16 () in
   let recorder = Telemetry.Flight.create () in
   Telemetry.Flight.set_context recorder (Pkru_safe.Env.flight_context env);
-  let dump =
-    Telemetry.Census.with_census ~provider:(Pkru_safe.Env.census_snapshot env) census
-      (fun () ->
-        (* Charge past a period boundary so a snapshot exists. *)
-        ignore (Pkru_safe.Env.malloc_untrusted env 32);
-        Sim.Cpu.charge (List.hd (Sim.Machine.cpus (Pkru_safe.Env.machine env))) 64;
-        Telemetry.Flight.record recorder ~reason:"census-embed-test" ~details:[])
-  in
+  obs.Telemetry.Obs.census <- Some (Telemetry.Census.create ~every:16 ());
+  obs.Telemetry.Obs.census_provider <- Some (Pkru_safe.Env.census_snapshot env);
+  (* Charge past a period boundary so a snapshot exists. *)
+  ignore (Pkru_safe.Env.malloc_untrusted env 32);
+  Sim.Cpu.charge (List.hd (Sim.Machine.cpus (Pkru_safe.Env.machine env))) 64;
+  let dump = Telemetry.Flight.record recorder ~sink:None ~reason:"census-embed-test" ~details:[] in
   let context = Util.Json.member "context" dump in
   (match Util.Json.member "census" context with
   | Util.Json.Obj _ -> ()

@@ -95,7 +95,8 @@ let test_kernel_equivalence () =
 
 (* DOM-bound equivalence under enforcement: gate transitions and fault
    checks interleave with engine work; Mpk mode must stay bit-identical
-   across dispatch variants, selector cache on or off. *)
+   across dispatch variants.  (Cached against interpreted selector
+   matching is the differential in test_selector.) *)
 let test_dom_equivalence () =
   let bench =
     Workloads.Bench_def.bench
@@ -109,17 +110,7 @@ let test_dom_equivalence () =
   let threaded = measure ~tier:Engine.Threaded_tier ~mode ~profile bench in
   check_bit_identical "dom mpk threaded" reference threaded;
   Alcotest.(check bool) "selector cache hit during run" true
-    (Telemetry.Sink.count threaded.d_sink "engine_selector_hit" > 0);
-  let uncached =
-    Fun.protect
-      ~finally:(fun () -> Browser.selector_cache_enabled := true)
-      (fun () ->
-        Browser.selector_cache_enabled := false;
-        measure ~tier:Engine.Threaded_tier ~mode ~profile bench)
-  in
-  check_bit_identical "selector cache off" reference uncached;
-  Alcotest.(check int) "no cache hits when disabled" 0
-    (Telemetry.Sink.count uncached.d_sink "engine_selector_hit")
+    (Telemetry.Sink.count threaded.d_sink "engine_selector_hit" > 0)
 
 (* Profiling mode exercises the fault + single-step path (every access
    faults and is single-stepped); the dispatch variants must not perturb
@@ -222,23 +213,16 @@ let test_selector_dom_mutation () =
      var afterCls = domQuery(\".fresh\").length;\n\
      print(before + \":\" + beforeCls + \":\" + after + \":\" + afterCls);\n"
   in
-  let run tier ~cache =
-    Fun.protect
-      ~finally:(fun () -> Browser.selector_cache_enabled := true)
-      (fun () ->
-        Browser.selector_cache_enabled := cache;
-        let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
-        let b = Browser.create ~engine_seed:7 env in
-        Browser.load_page b "<html><body><div id=\"main\">hi</div></body></html>";
-        ignore (Browser.exec_script ~tier b script);
-        Browser.console b)
+  let run tier =
+    let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
+    let b = Browser.create ~engine_seed:7 env in
+    Browser.load_page b "<html><body><div id=\"main\">hi</div></body></html>";
+    ignore (Browser.exec_script ~tier b script);
+    Browser.console b
   in
   let expected = [ "0:0:1:1" ] in
-  Alcotest.(check (list string)) "ast, cached" expected (run Engine.Ast_tier ~cache:true);
-  Alcotest.(check (list string)) "threaded, cached" expected
-    (run Engine.Threaded_tier ~cache:true);
-  Alcotest.(check (list string)) "threaded, uncached" expected
-    (run Engine.Threaded_tier ~cache:false)
+  Alcotest.(check (list string)) "ast" expected (run Engine.Ast_tier);
+  Alcotest.(check (list string)) "threaded" expected (run Engine.Threaded_tier)
 
 (* --- The growable-buffer emitter --- *)
 

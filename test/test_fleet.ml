@@ -2,8 +2,8 @@
    (per-session cycles, transitions, checksums and traces independent of
    the CPU count and of interleaving), a single-session fleet run must be
    bit-identical to the plain runner, the shared backing budget must
-   surface as per-session Oom outcomes without sinking the fleet, and the
-   telemetry guard must keep process-wide writers out of a fleet run. *)
+   surface as per-session Oom outcomes without sinking the fleet, and
+   concurrent sessions must record into their own, uncrossed traces. *)
 
 let ok = function
   | Ok v -> v
@@ -61,7 +61,7 @@ let test_single_session_bit_identity () =
   Alcotest.(check int) "cycles" runner.Workloads.Runner.cycles sr.Fleet.sr_cycles;
   Alcotest.(check int) "transitions" runner.Workloads.Runner.transitions
     sr.Fleet.sr_transitions;
-  match (fleet.Fleet.r_trace, runner.Workloads.Runner.trace) with
+  match (sr.Fleet.sr_trace, runner.Workloads.Runner.trace) with
   | Some ft, Some rt ->
     Alcotest.(check string) "event trace" (trace_json rt) (trace_json ft);
     List.iter
@@ -134,52 +134,45 @@ let test_shared_page_budget () =
     Alcotest.(check bool) "retired sessions return pages" true (b.Fleet.bk_min_available > 0)
   | None -> Alcotest.fail "expected backing stats"
 
-(* The guard: a process-wide telemetry writer cannot be installed while a
-   fleet run is active, and a fleet refuses to start under one. *)
-let test_telemetry_guard () =
-  Telemetry.Guard.with_exclusive "test fleet" (fun () ->
-      List.iter
-        (fun (what, install) ->
-          match install () with
-          | exception Invalid_argument msg ->
-            Alcotest.(check bool)
-              (what ^ " error names the fleet run")
-              true
-              (let contains hay needle =
-                 let nh = String.length hay and nn = String.length needle in
-                 let rec scan i = i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1)) in
-                 nn = 0 || scan 0
-               in
-               contains msg "test fleet")
-          | _ -> Alcotest.fail (what ^ " should refuse while the fleet guard is held"))
-        [
-          ("Sink.enable", fun () -> ignore (Telemetry.Sink.enable ()));
-          ( "Sink.with_sink",
-            fun () -> Telemetry.Sink.with_sink (Telemetry.Sink.create ()) (fun () -> ()) );
-          ( "Sampler.with_sampler",
-            fun () ->
-              Telemetry.Sampler.with_sampler
-                (Telemetry.Sampler.create ~every:64)
-                (fun () -> ()) );
-          ( "Census.with_census",
-            fun () ->
-              Telemetry.Census.with_census (Telemetry.Census.create ~every:64 ()) (fun () -> ())
-          );
-          ( "Flight.with_recorder",
-            fun () -> Telemetry.Flight.with_recorder (Telemetry.Flight.create ()) (fun () -> ())
-          );
-        ]);
-  Alcotest.(check (option string)) "guard released" None (Telemetry.Guard.held ());
-  (* And the converse: an installed writer blocks the fleet from starting. *)
-  Telemetry.Sink.with_sink (Telemetry.Sink.create ()) (fun () ->
-      match Fleet.run ~sessions:1 mixed_jobs with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "fleet should refuse to start under a process-wide sink")
+(* Per-session telemetry: two different jobs on two CPUs, interleaved
+   slice by slice, each record into the sink of their own machine's
+   observation context.  Every session's trace (events, counters, gate
+   transitions) equals the trace of the same job run alone. *)
+let test_per_session_telemetry () =
+  let select_bench =
+    Workloads.Bench_def.bench ~page:(Workloads.Dom_scripts.page ~rows:3) "select"
+      (Workloads.Dom_scripts.jslib_select ~iters:3)
+  in
+  let profile =
+    Workloads.Runner.profile_suite
+      { Workloads.Bench_def.suite_name = "pair"; benches = [ ident_bench; select_bench ] }
+  in
+  let jobs = [ Fleet.job_of_bench ident_bench; Fleet.job_of_bench select_bench ] in
+  let run ?cpus ?timeslice ~sessions jobs =
+    Fleet.run ~mode:Pkru_safe.Config.Mpk ~profile ~telemetry:true ?cpus ?timeslice ~sessions jobs
+  in
+  let pair = run ~cpus:2 ~timeslice:100 ~sessions:2 jobs in
+  Alcotest.(check int) "both sessions complete" 2 pair.Fleet.r_completed;
+  Alcotest.(check bool) "sessions interleaved" true (pair.Fleet.r_yields > 0);
+  List.iter2
+    (fun job (sr : Fleet.session_result) ->
+      let solo = run ~sessions:1 [ job ] in
+      match (sr.Fleet.sr_trace, (List.hd solo.Fleet.r_results).Fleet.sr_trace) with
+      | Some t, Some alone ->
+        let name = job.Fleet.job_name in
+        Alcotest.(check bool) (name ^ " recorded gate transitions") true
+          (Telemetry.Sink.gate_transitions alone > 0);
+        Alcotest.(check string) (name ^ " events") (trace_json alone) (trace_json t);
+        Alcotest.(check (list (pair string int)))
+          (name ^ " counters") (Telemetry.Sink.counters alone) (Telemetry.Sink.counters t);
+        Alcotest.(check int) (name ^ " gate transitions")
+          (Telemetry.Sink.gate_transitions alone) (Telemetry.Sink.gate_transitions t)
+      | _ -> Alcotest.fail "expected a trace for every session")
+    jobs pair.Fleet.r_results
 
-(* Satellite regression: the selector split-memo is bounded and counts
-   its evictions. *)
+(* Satellite regression: the page's selector split-memo is bounded and
+   counts its evictions. *)
 let test_selector_memo_bounded () =
-  let evictions_before = !Browser.Selector.split_memo_evictions in
   let env = ok (Pkru_safe.Env.create (Pkru_safe.Config.make Pkru_safe.Config.Base)) in
   let browser = Browser.create env in
   Browser.load_page browser "<div id=\"app\"><p>x</p></div>";
@@ -194,9 +187,9 @@ let test_selector_memo_bounded () =
               domSetAttribute(root, 'class', 'c' + i + ' d' + i);
               domQuery('.needle');
             }|}
-          (Browser.Selector.split_memo_cap + 64)));
+          (Browser.Dom.split_memo_cap + 64)));
   Alcotest.(check bool) "eviction counter advanced" true
-    (!Browser.Selector.split_memo_evictions > evictions_before)
+    ((Browser.selector_stats browser).Browser.sel_evictions > 0)
 
 let suite =
   [
@@ -207,6 +200,6 @@ let suite =
     Alcotest.test_case "interleaved sessions match solo runner" `Quick
       test_interleaved_sessions_match_solo;
     Alcotest.test_case "shared page budget" `Quick test_shared_page_budget;
-    Alcotest.test_case "telemetry guard" `Quick test_telemetry_guard;
+    Alcotest.test_case "per-session telemetry" `Quick test_per_session_telemetry;
     Alcotest.test_case "selector memo bounded" `Quick test_selector_memo_bounded;
   ]

@@ -126,6 +126,65 @@ print(domQuery(".hot").length);
 |});
   Alcotest.(check (list string)) "rematch after mutation" [ "0"; "1" ] (Browser.console b)
 
+(* Differential: compiled matching returns the interpreted reference
+   matcher's nodes at the same simulated cost (cycles, TLB hits and
+   misses), query by query, on the dispatch-dom page — twice, so the
+   second round runs on a warm class-split memo — and again after a DOM
+   mutation interns names the compiled selectors had not seen. *)
+let test_compiled_matches_interpreted () =
+  let bench =
+    Workloads.Bench_def.bench
+      ~page:(Workloads.Dom_scripts.page ~rows:5)
+      "dispatch-dom" (Workloads.Dom_scripts.jslib_select ~iters:8)
+  in
+  let profile =
+    Workloads.Runner.profile_suite
+      { Workloads.Bench_def.suite_name = "dispatch-dom"; benches = [ bench ] }
+  in
+  let selectors =
+    [ ".row"; "div span"; "div.row, span"; "*"; "#none"; "widget"; ".fresh"; "widget.fresh" ]
+  in
+  let run matcher =
+    let env = ok (Pkru_safe.Env.create ~profile (Pkru_safe.Config.make Pkru_safe.Config.Mpk)) in
+    let b = Browser.create ~engine_seed:bench.Workloads.Bench_def.engine_seed env in
+    Browser.load_page b bench.Workloads.Bench_def.page;
+    let dom = Browser.dom b and machine = Pkru_safe.Env.machine env in
+    let compiled =
+      List.map
+        (fun text -> (text, Browser.Selector.compile (Browser.Selector.parse text)))
+        selectors
+    in
+    let round () =
+      List.map
+        (fun (text, c) ->
+          let cycles = Sim.Machine.cycles machine and tlb = Sim.Machine.tlb_stats machine in
+          let nodes = matcher dom text c in
+          let tlb' = Sim.Machine.tlb_stats machine in
+          ( text,
+            ( nodes,
+              ( Sim.Machine.cycles machine - cycles,
+                (tlb'.Sim.Tlb.hits - tlb.Sim.Tlb.hits, tlb'.Sim.Tlb.misses - tlb.Sim.Tlb.misses) )
+            ) ))
+        compiled
+    in
+    let cold = round () in
+    let warm = round () in
+    let widget = Browser.Dom.create_element dom "widget" in
+    Browser.Dom.set_attribute dom widget "class" "fresh";
+    Browser.Dom.append_child dom ~parent:(Browser.Dom.root dom) ~child:widget;
+    (cold @ warm, round ())
+  in
+  let interpreted =
+    run (fun dom text _ -> Browser.Selector.query_all dom (Browser.Selector.parse text))
+  in
+  let compiled = run (fun dom _ c -> Browser.Selector.query_all_compiled dom c) in
+  let t = Alcotest.(list (pair string (pair (list int) (pair int (pair int int))))) in
+  Alcotest.check t "dispatch-dom page" (fst interpreted) (fst compiled);
+  Alcotest.check t "after mutation" (snd interpreted) (snd compiled);
+  let found text = List.length (fst (List.assoc text (snd compiled))) in
+  Alcotest.(check (list int)) "rows and the mutation are matched" [ 5; 1 ]
+    [ found ".row"; found "widget.fresh" ]
+
 let suite =
   [
     Alcotest.test_case "parse + print" `Quick test_parse_and_print;
@@ -137,4 +196,5 @@ let suite =
     Alcotest.test_case "query_first + matches" `Quick test_query_first_and_matches;
     Alcotest.test_case "domQuery binding" `Quick test_dom_query_binding;
     Alcotest.test_case "dynamic classes rematch" `Quick test_dynamic_classes_rematch;
+    Alcotest.test_case "compiled matches interpreted" `Quick test_compiled_matches_interpreted;
   ]

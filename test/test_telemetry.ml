@@ -203,11 +203,18 @@ let test_empty_histogram_percentile_raises () =
   Alcotest.(check (float 1e-9)) "defined once non-empty" 7.0
     (Telemetry.Histogram.percentile h 50.0)
 
+(* The ambient wrapper restores the previous sink when its callback
+   raises: a machine built without a context records into the outer sink
+   again, and into nothing once the outer wrapper returns. *)
 let test_with_sink_restores () =
-  Alcotest.(check bool) "inactive by default" false (Telemetry.Sink.active ());
-  let sink = Telemetry.Sink.create () in
-  (try Telemetry.Sink.with_sink sink (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check bool) "restored after raise" false (Telemetry.Sink.active ())
+  let cpu = (Sim.Machine.create ()).Sim.Machine.cpu in
+  let outer = Telemetry.Sink.create () and inner = Telemetry.Sink.create () in
+  Telemetry.Sink.with_sink outer (fun () ->
+      (try Telemetry.Sink.with_sink inner (fun () -> failwith "boom") with Failure _ -> ());
+      Sim.Cpu.wrpkru cpu Mpk.Pkru.all_enabled);
+  Sim.Cpu.wrpkru cpu Mpk.Pkru.all_enabled;
+  Alcotest.(check int) "outer sink restored after raise" 1 (Telemetry.Sink.count outer "wrpkru");
+  Alcotest.(check int) "inner sink saw nothing" 0 (Telemetry.Sink.events_total inner)
 
 (* (5) Causal spans: parenting, exit-by-id unwind coherence, digesting. *)
 let test_span_nesting () =
@@ -405,7 +412,6 @@ let test_prometheus_nonfinite_rendering () =
 let test_flight_dump_and_render () =
   let sink = Telemetry.Sink.create () in
   let recorder = Telemetry.Flight.create () in
-  Telemetry.Flight.attach_sink recorder sink;
   Telemetry.Flight.set_context recorder (fun () ->
       Util.Json.Obj
         [
@@ -418,10 +424,12 @@ let test_flight_dump_and_render () =
   Telemetry.Sink.emit sink ~ts:1 ~cpu:0
     (Telemetry.Event.Gate_enter { target = Telemetry.Event.Untrusted });
   ignore (Telemetry.Sink.span_enter sink ~ts:1 ~cpu:0 ~kind:Telemetry.Span.Gate "gate:untrusted");
-  Telemetry.Flight.with_recorder recorder (fun () ->
-      Telemetry.Flight.dump ~reason:"test incident"
-        ~details:[ ("note", Util.Json.String "injected") ]
-        ());
+  let obs = Telemetry.Obs.create () in
+  obs.Telemetry.Obs.sink <- Some sink;
+  obs.Telemetry.Obs.flight <- Some recorder;
+  Telemetry.Obs.dump obs ~reason:"test incident"
+    ~details:[ ("note", Util.Json.String "injected") ]
+    ();
   Alcotest.(check int) "one dump" 1 (Telemetry.Flight.dump_total recorder);
   let dump = Option.get (Telemetry.Flight.last recorder) in
   (* Self-contained: survives serialise/parse, then renders. *)
@@ -439,7 +447,8 @@ let test_flight_dump_and_render () =
   Alcotest.(check bool) "gate imbalance rendered" true (contains "IMBALANCED");
   Alcotest.(check bool) "open span chain rendered" true (contains "gate:untrusted");
   (* Disarmed dumps are no-ops. *)
-  Telemetry.Flight.dump ~reason:"nobody listening" ();
+  obs.Telemetry.Obs.flight <- None;
+  Telemetry.Obs.dump obs ~reason:"nobody listening" ();
   Alcotest.(check int) "still one dump" 1 (Telemetry.Flight.dump_total recorder)
 
 let suite =
