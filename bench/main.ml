@@ -4,8 +4,7 @@
    over scaled-down versions of each experiment.
 
    Usage: main.exe [--skip-bechamel] [--only SECTION]...
-                   [--compare BASELINE] [--baseline-out FILE]
-                   [--wall-tolerance X] [--compare-strict]
+                   [--compare BASELINE] [--baseline-out FILE] [--compare-strict]
    --only may repeat; with none given, every section runs.
    Sections: micro fig3 table1 table2 fig5 fig6 fig7 security sites
              ablations tlb mitigation census dispatch fleet garmr bechamel
@@ -13,16 +12,17 @@
    --compare / --baseline-out run only the regression-sentinel probes
    (unless sections are also requested with --only): --baseline-out
    regenerates BENCH_BASELINE.json, --compare diffs a fresh probe run
-   against a checked-in baseline.  Simulated-cycle drift is flagged hard
-   but, being a warn-only CI gate, only fails the process under
-   --compare-strict; host wall-clock always warns only. *)
+   against a checked-in baseline.  Simulated-cycle drift and a rise in a
+   probe's OCaml minor-heap words (compared when the baseline was counted
+   by the running OCaml version) are flagged hard but, being a warn-only
+   CI gate, only fail the process under --compare-strict; fewer minor
+   words ask for a re-pin. *)
 
 let skip_bechamel = ref false
 let only : string list ref = ref []
 let json_dir : string option ref = ref None
 let compare_file : string option ref = ref None
 let baseline_out : string option ref = ref None
-let wall_tolerance = ref Workloads.Sentinel.default_wall_tolerance
 let compare_strict = ref false
 
 let () =
@@ -42,11 +42,6 @@ let () =
       parse rest
     | "--baseline-out" :: file :: rest ->
       baseline_out := Some file;
-      parse rest
-    | "--wall-tolerance" :: x :: rest ->
-      (match float_of_string_opt x with
-      | Some t when t > 1.0 -> wall_tolerance := t
-      | _ -> failwith ("--wall-tolerance must be a factor > 1.0, got " ^ x));
       parse rest
     | "--compare-strict" :: rest ->
       compare_strict := true;
@@ -1350,14 +1345,14 @@ let run_sentinel () =
   header "Regression sentinel: deterministic probe workloads";
   let results = Workloads.Sentinel.run_probes () in
   Util.Table.print
-    ~header:[ "probe"; "sim cycles"; "transitions"; "host wall" ]
+    ~header:[ "probe"; "sim cycles"; "transitions"; "minor words" ]
     (List.map
        (fun (r : Workloads.Sentinel.probe_result) ->
          [
            r.Workloads.Sentinel.p_name;
            string_of_int r.Workloads.Sentinel.p_cycles;
            string_of_int r.Workloads.Sentinel.p_transitions;
-           Printf.sprintf "%.3fs" r.Workloads.Sentinel.p_wall_s;
+           string_of_int r.Workloads.Sentinel.p_minor_words;
          ])
        results);
   (* Twin probes express an optimisation's architectural invisibility as
@@ -1375,27 +1370,27 @@ let run_sentinel () =
   | Some path ->
     Out_channel.with_open_text path (fun oc ->
         output_string oc
-          (Util.Json.to_string_pretty (Workloads.Sentinel.baseline_json results) ^ "\n"));
+          (Util.Json.to_string_pretty
+             (Workloads.Sentinel.baseline_to_json (Workloads.Sentinel.baseline results))
+          ^ "\n"));
     Printf.printf "baseline written to %s (commit %s)\n" path (Workloads.Sentinel.commit_hash ())
   | None -> ());
   match !compare_file with
   | None -> true
   | Some path ->
-    let commit, baseline =
+    let baseline =
       Workloads.Sentinel.baseline_of_json
         (Util.Json.of_string (In_channel.with_open_text path In_channel.input_all))
     in
-    let verdicts =
-      Workloads.Sentinel.compare_results ~wall_tolerance:!wall_tolerance ~baseline results
-    in
+    let verdicts = Workloads.Sentinel.compare_results ~baseline results in
     print_newline ();
-    print_string (Workloads.Sentinel.render_comparison ~commit verdicts);
+    print_string (Workloads.Sentinel.render_comparison ~baseline verdicts);
     if not (Workloads.Sentinel.has_regression verdicts) then true
     else begin
       print_endline
-        (if !compare_strict then "cycle drift detected; failing (--compare-strict)"
+        (if !compare_strict then "drift detected; failing (--compare-strict)"
          else
-           "cycle drift detected — warn-only gate, not failing the build; re-run with \
+           "drift detected — warn-only gate, not failing the build; re-run with \
             --compare-strict to gate hard, or regenerate the baseline with --baseline-out \
             if the change is intended");
       not !compare_strict

@@ -467,15 +467,10 @@ let rec exec vm (code : instr array) scope0 =
        Eval.tick t 1;
        match instr with
        | Push_num f -> push (Value.Num f)
-       | Push_bool b -> push (Value.Bool b)
+       | Push_bool b -> push (Value.of_bool b)
        | Push_null -> push Value.Null
        | Push_str s -> push (Value.str_of_string (Eval.heap t) s)
-       | Load_var name ->
-         (match Eval.scope_lookup t (current_scope ()) name with
-         | Some v -> push v
-         | None ->
-           if Eval.host_exists t name then push (Value.Host name)
-           else Eval.fail "undefined variable %s" name)
+       | Load_var name -> push (Eval.scope_lookup t (current_scope ()) name)
        | Store_var name -> Eval.scope_assign t (current_scope ()) name (peek ())
        | Decl_var name -> Eval.scope_declare (current_scope ()) name (pop ())
        | Pop -> ignore (pop ())

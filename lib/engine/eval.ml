@@ -7,25 +7,72 @@ let () =
 
 type host = Value.t list -> Value.t
 
+(* A scope's bindings live in a small open-addressed string table.  [names]
+   and [cells] hold the bindings densely, in declaration order; [index] (a
+   power of two, at most half full) maps a name's [Hashtbl.hash] to 1 + its
+   dense position, 0 marking an empty slot.  A probe returns the position,
+   or -1 on a miss, so walking a scope chain allocates nothing and raises
+   nothing: a miss at every level below the holder is the common case. *)
 type scope = {
-  vars : (string, Value.t ref) Hashtbl.t;
+  mutable index : int array;
+  mutable names : string array; (* empty until the first declaration *)
+  mutable cells : Value.t ref array; (* likewise; cell [i] is the i-th declared name's *)
   mutable decls : int;
-      (* bumped only when a NEW name is declared in this scope; re-declaring
-         an existing name updates its ref in place.  Variable inline caches
-         validate against this epoch: an unchanged [decls] on every scope a
-         cached walk skipped proves no new shadowing binding appeared. *)
+      (* the number of bindings: bumped only when a NEW name is declared in
+         this scope; re-declaring an existing name updates its cell in
+         place.  Variable inline caches validate against this epoch: an
+         unchanged [decls] on every scope a cached walk skipped proves no
+         new shadowing binding appeared. *)
   parent : scope option;
   origin : int;
       (* shared by every scope minted at one closure-call site (0 = not
          tracked).  Declarations at such a site form a fixed sequence —
          params first, then the body's own-scope [var]s in body order —
-         so (origin, decls) determines the name of every slot below
+         so (origin, decls) determines the name of every cell below
          [decls], which is what the slot-resolved variable IC validates
          against. *)
-  mutable slots : Value.t ref array; (* i-th newly declared binding, origin scopes only *)
 }
 
-let no_slots : Value.t ref array = [||]
+(* [size] is the initial [index] length (a power of two): 64 for the
+   globals, 8 for a call's scope, 4 for a loop's or block's.  [names] and
+   [cells] are allocated at the first declaration, so a scope that never
+   declares costs its record and index only. *)
+let make_scope ~size ?(origin = 0) parent =
+  { index = Array.make size 0; names = [||]; cells = [||]; decls = 0; parent; origin }
+
+let rec probe index names mask name i =
+  let j = index.(i) in
+  if j = 0 then -1
+  else if String.equal names.(j - 1) name then j - 1
+  else probe index names mask name ((i + 1) land mask)
+
+(* The dense position of [name] (whose hash is [h]) in [scope], or -1. *)
+let find scope name h =
+  let index = scope.index in
+  let mask = Array.length index - 1 in
+  probe index scope.names mask name (h land mask)
+
+let rec free_slot index mask i =
+  if index.(i) = 0 then i else free_slot index mask ((i + 1) land mask)
+
+(* Doubles the dense arrays (or allocates them, at half the index length)
+   and rebuilds the index at twice their capacity when they outgrow it. *)
+let grow scope r =
+  let n = scope.decls in
+  let cap = if n = 0 then Array.length scope.index / 2 else 2 * n in
+  let names = Array.make cap "" and cells = Array.make cap r in
+  Array.blit scope.names 0 names 0 n;
+  Array.blit scope.cells 0 cells 0 n;
+  scope.names <- names;
+  scope.cells <- cells;
+  if 2 * cap > Array.length scope.index then begin
+    let index = Array.make (2 * cap) 0 in
+    let mask = (2 * cap) - 1 in
+    for j = 0 to n - 1 do
+      index.(free_slot index mask (Hashtbl.hash names.(j) land mask)) <- j + 1
+    done;
+    scope.index <- index
+  end
 
 type closure = {
   c_params : string list;
@@ -67,12 +114,13 @@ exception Break_exc
 exception Continue_exc
 
 let create ?(seed = 1) ?(fuel = 200_000_000) heap =
+  let globals = make_scope ~size:64 None in
   {
     heap;
     machine = Pkru_safe.Env.machine (Value.env heap);
-    globals = { vars = Hashtbl.create 64; decls = 0; parent = None; origin = 0; slots = no_slots };
+    globals;
     hosts = Hashtbl.create 32;
-    closures = Array.make 16 { c_params = []; c_body = []; c_scope = { vars = Hashtbl.create 1; decls = 0; parent = None; origin = 0; slots = no_slots } };
+    closures = Array.make 16 { c_params = []; c_body = []; c_scope = globals };
     nclosures = 0;
     rng = Util.Rng.create seed;
     output = [];
@@ -96,25 +144,26 @@ let fresh_origin t =
   t.origin_counter
 
 let declare scope name v =
-  match Hashtbl.find_opt scope.vars name with
-  | Some r -> r := v
-  | None ->
+  let h = Hashtbl.hash name in
+  let i = find scope name h in
+  if i >= 0 then scope.cells.(i) := v
+  else begin
+    let n = scope.decls in
     let r = ref v in
-    Hashtbl.replace scope.vars name r;
-    if scope.origin > 0 then begin
-      let n = scope.decls in
-      if n >= Array.length scope.slots then begin
-        let bigger = Array.make (max 4 (2 * Array.length scope.slots)) r in
-        Array.blit scope.slots 0 bigger 0 n;
-        scope.slots <- bigger
-      end;
-      scope.slots.(n) <- r
-    end;
-    scope.decls <- scope.decls + 1
+    if n = Array.length scope.names then grow scope r;
+    scope.names.(n) <- name;
+    scope.cells.(n) <- r;
+    let index = scope.index in
+    let mask = Array.length index - 1 in
+    index.(free_slot index mask (h land mask)) <- n + 1;
+    scope.decls <- n + 1
+  end
 
 let set_global t name v = declare t.globals name v
 
-let get_global t name = Option.map ( ! ) (Hashtbl.find_opt t.globals.vars name)
+let get_global t name =
+  let i = find t.globals name (Hashtbl.hash name) in
+  if i < 0 then None else Some !(t.globals.cells.(i))
 
 let take_output t =
   let lines = List.rev t.output in
@@ -146,24 +195,34 @@ let add_closure t c =
   t.nclosures <- t.nclosures + 1;
   t.nclosures - 1
 
-let rec lookup t scope name =
-  charge t 2;
-  match Hashtbl.find_opt scope.vars name with
-  | Some r -> Some !r
-  | None ->
-    (match scope.parent with
-    | Some p -> lookup t p name
-    | None -> None)
+let unresolved t name =
+  if Hashtbl.mem t.hosts name then Value.Host name else fail "undefined variable %s" name
 
-let rec assign_existing t scope name v =
-  match Hashtbl.find_opt scope.vars name with
-  | Some r ->
-    r := v;
+(* The uncached walk: charges 2 per level probed, down to the holder, and
+   resolves a name bound nowhere to its host function. *)
+let rec walk_lookup t scope name h =
+  charge t 2;
+  let i = find scope name h in
+  if i >= 0 then !(scope.cells.(i))
+  else
+    match scope.parent with
+    | Some p -> walk_lookup t p name h
+    | None -> unresolved t name
+
+let lookup t scope name = walk_lookup t scope name (Hashtbl.hash name)
+
+let rec walk_assign scope name h v =
+  let i = find scope name h in
+  if i >= 0 then begin
+    scope.cells.(i) := v;
     true
-  | None ->
-    (match scope.parent with
-    | Some p -> assign_existing t p name v
-    | None -> false)
+  end
+  else
+    match scope.parent with
+    | Some p -> walk_assign p name h v
+    | None -> false
+
+let assign_existing scope name v = walk_assign scope name (Hashtbl.hash name) v
 
 (* --- Variable inline caches ---
 
@@ -202,6 +261,7 @@ let reset_ic_stats t =
 
 type var_site = {
   vsite_name : string;
+  vsite_hash : int; (* [Hashtbl.hash vsite_name], the scope-table probe key *)
   (* slot cache, keyed on the scope's call-site origin: valid for every
      scope minted at that site while its declaration epoch matches *)
   mutable vslot_origin : int; (* 0 = empty *)
@@ -222,25 +282,20 @@ type var_site = {
 let streak_limit = 32
 
 let var_site name =
-  { vsite_name = name;
+  { vsite_name = name; vsite_hash = Hashtbl.hash name;
     vslot_origin = 0; vslot_decls = 0; vslot_idx = 0;
     vfull_anchor = None; vfull_ref = ref Value.Null; vfull_path = [||];
     vsite_anchor = None; vsite_ref = ref Value.Null;
     vsite_levels = 0; vsite_path = [||]; vsite_streak = 0 }
 
-(* A level-0 find in an origin-tracked scope can be slot-cached: the ref
-   sits in [cur.slots] at a fixed index for every scope of this origin at
-   this declaration epoch. *)
-let vslot_learn site cur r =
+(* A level-0 find at position [i] of an origin-tracked scope can be
+   slot-cached: the cell sits at that position for every scope of this
+   origin at this declaration epoch. *)
+let vslot_learn site cur i =
   if cur.origin > 0 then begin
-    let n = cur.decls in
-    let rec idx i = if i >= n then -1 else if cur.slots.(i) == r then i else idx (i + 1) in
-    match idx 0 with
-    | -1 -> ()
-    | i ->
-      site.vslot_origin <- cur.origin;
-      site.vslot_decls <- n;
-      site.vslot_idx <- i
+    site.vslot_origin <- cur.origin;
+    site.vslot_decls <- cur.decls;
+    site.vslot_idx <- i
   end
 
 let vfull_valid site cur =
@@ -260,8 +315,9 @@ let vsite_fill t ~charged site cur start =
   let missed = ref [] in
   let rec go depth s =
     if charged then charge t 2;
-    match Hashtbl.find_opt s.vars site.vsite_name with
-    | Some r ->
+    let i = find s site.vsite_name site.vsite_hash in
+    if i >= 0 then begin
+      let r = s.cells.(i) in
       let path = Array.of_list (List.rev_map (fun sc -> (sc, sc.decls)) !missed) in
       site.vsite_anchor <- Some start;
       site.vsite_ref <- r;
@@ -271,11 +327,13 @@ let vsite_fill t ~charged site cur start =
       site.vfull_ref <- r;
       site.vfull_path <- Array.append [| (cur, cur.decls) |] path;
       Some r
-    | None ->
+    end
+    else begin
       missed := s :: !missed;
-      (match s.parent with
+      match s.parent with
       | Some p -> go (depth + 1) p
-      | None -> None)
+      | None -> None
+    end
   in
   go 0 start
 
@@ -286,10 +344,18 @@ let vsite_miss t site =
     if site.vsite_streak > streak_limit then site.vsite_streak <- -1
   end
 
+(* A level-0 hit: re-anchor the full-walk cache on [cur]. *)
+let anchor_full site cur i =
+  site.vsite_streak <- 0;
+  site.vfull_anchor <- Some cur;
+  site.vfull_ref <- cur.cells.(i);
+  site.vfull_path <- [||];
+  vslot_learn site cur i
+
 let cached_lookup t cur site =
   if site.vsite_streak < 0 then begin
     t.ic.var_misses <- t.ic.var_misses + 1;
-    lookup t cur site.vsite_name
+    walk_lookup t cur site.vsite_name site.vsite_hash
   end
   else if
     cur.origin > 0 && cur.origin = site.vslot_origin && cur.decls = site.vslot_decls
@@ -297,52 +363,50 @@ let cached_lookup t cur site =
     t.ic.var_hits <- t.ic.var_hits + 1;
     site.vsite_streak <- 0;
     charge t 2;
-    Some !(cur.slots.(site.vslot_idx))
+    !(cur.cells.(site.vslot_idx))
   end
   else if vfull_valid site cur then begin
     t.ic.var_hits <- t.ic.var_hits + 1;
     site.vsite_streak <- 0;
     charge t (2 * (Array.length site.vfull_path + 1));
-    Some !(site.vfull_ref)
+    !(site.vfull_ref)
   end
   else begin
     charge t 2;
-    match Hashtbl.find_opt cur.vars site.vsite_name with
-    | Some r ->
-      (* found in the innermost scope: re-anchor the full-walk cache *)
-      site.vsite_streak <- 0;
-      site.vfull_anchor <- Some cur;
-      site.vfull_ref <- r;
-      site.vfull_path <- [||];
-      vslot_learn site cur r;
-      Some !r
-    | None ->
-      (match cur.parent with
-      | None -> None
+    let i = find cur site.vsite_name site.vsite_hash in
+    if i >= 0 then begin
+      anchor_full site cur i;
+      !(cur.cells.(i))
+    end
+    else
+      match cur.parent with
+      | None -> unresolved t site.vsite_name
       | Some p ->
         if vsite_valid site p then begin
           t.ic.var_hits <- t.ic.var_hits + 1;
           site.vsite_streak <- 0;
           charge t (2 * site.vsite_levels);
-          Some !(site.vsite_ref)
+          !(site.vsite_ref)
         end
         else begin
           vsite_miss t site;
-          Option.map ( ! ) (vsite_fill t ~charged:true site cur p)
-        end)
+          match vsite_fill t ~charged:true site cur p with
+          | Some r -> !r
+          | None -> unresolved t site.vsite_name
+        end
   end
 
 let cached_assign t cur site v =
   if site.vsite_streak < 0 then begin
     t.ic.var_misses <- t.ic.var_misses + 1;
-    assign_existing t cur site.vsite_name v
+    walk_assign cur site.vsite_name site.vsite_hash v
   end
   else if
     cur.origin > 0 && cur.origin = site.vslot_origin && cur.decls = site.vslot_decls
   then begin
     t.ic.var_hits <- t.ic.var_hits + 1;
     site.vsite_streak <- 0;
-    cur.slots.(site.vslot_idx) := v;
+    cur.cells.(site.vslot_idx) := v;
     true
   end
   else if vfull_valid site cur then begin
@@ -351,18 +415,15 @@ let cached_assign t cur site v =
     site.vfull_ref := v;
     true
   end
-  else
-    match Hashtbl.find_opt cur.vars site.vsite_name with
-    | Some r ->
-      site.vsite_streak <- 0;
-      site.vfull_anchor <- Some cur;
-      site.vfull_ref <- r;
-      site.vfull_path <- [||];
-      vslot_learn site cur r;
-      r := v;
+  else begin
+    let i = find cur site.vsite_name site.vsite_hash in
+    if i >= 0 then begin
+      anchor_full site cur i;
+      cur.cells.(i) := v;
       true
-    | None ->
-      (match cur.parent with
+    end
+    else
+      match cur.parent with
       | None -> false
       | Some p ->
         if vsite_valid site p then begin
@@ -378,7 +439,8 @@ let cached_assign t cur site v =
             r := v;
             true
           | None -> false
-        end)
+        end
+  end
 
 let to_num t v =
   match v with
@@ -533,6 +595,15 @@ let json_ns_call t name args =
   | "parse", [ v ] -> json_parse t (as_str v)
   | _ -> fail "JSON.%s: unknown function or bad arity" name
 
+(* The operator a compound assignment applies: ["+="] -> ["+"]. *)
+let compound_op = function
+  | "+=" -> "+"
+  | "-=" -> "-"
+  | "*=" -> "*"
+  | "/=" -> "/"
+  | "%=" -> "%"
+  | op -> String.sub op 0 1
+
 (* --- Value methods --- *)
 
 let rec method_call t recv name args =
@@ -659,7 +730,7 @@ let rec method_call t recv name args =
     | "trim", [] ->
       Value.str_of_string t.heap (String.trim (Value.string_of_str t.heap s))
     | "startsWith", [ p ] ->
-      Value.Bool (Value.str_index_of t.heap s (as_str p) = 0)
+      Value.of_bool (Value.str_index_of t.heap s (as_str p) = 0)
     | "replace", [ find; repl ] ->
       (* First occurrence only, like the JS string (not regex) form. *)
       let find = as_str find in
@@ -696,16 +767,8 @@ and call_value t callee args =
   match callee with
   | Value.Fun id ->
     let c = t.closures.(id) in
-    let scope = { vars = Hashtbl.create 8; decls = 0; parent = Some c.c_scope; origin = 0; slots = no_slots } in
-    List.iteri
-      (fun i p ->
-        let v =
-          match List.nth_opt args i with
-          | Some v -> v
-          | None -> Value.Null
-        in
-        declare scope p v)
-      c.c_params;
+    let scope = make_scope ~size:8 (Some c.c_scope) in
+    bind_params scope c.c_params args;
     (try
        exec_stmts t scope c.c_body;
        Value.Null
@@ -716,24 +779,30 @@ and call_value t callee args =
     | None -> fail "unknown host function %s" name)
   | v -> fail "%s is not callable" (Value.type_name v)
 
+(* Parameter [i] is bound to argument [i], or to [Null] past the last. *)
+and bind_params scope params args =
+  match (params, args) with
+  | [], _ -> ()
+  | p :: ps, v :: vs ->
+    declare scope p v;
+    bind_params scope ps vs
+  | p :: ps, [] ->
+    declare scope p Value.Null;
+    bind_params scope ps []
+
 and eval t scope (e : Ast.expr) : Value.t =
   tick t 1;
   match e with
   | Ast.Num f -> Value.Num f
   | Ast.Str s -> Value.str_of_string t.heap s
-  | Ast.Bool b -> Value.Bool b
+  | Ast.Bool b -> Value.of_bool b
   | Ast.Null -> Value.Null
   | Ast.Ident "Math" | Ast.Ident "JSON" | Ast.Ident "String" ->
     fail "namespace %s cannot be used as a value"
       (match e with
       | Ast.Ident n -> n
       | _ -> assert false)
-  | Ast.Ident name ->
-    (match lookup t scope name with
-    | Some v -> v
-    | None ->
-      if Hashtbl.mem t.hosts name then Value.Host name
-      else fail "undefined variable %s" name)
+  | Ast.Ident name -> lookup t scope name
   | Ast.Array_lit items ->
     let arr = Value.arr_make t.heap 0 in
     let a = as_arr arr in
@@ -747,7 +816,7 @@ and eval t scope (e : Ast.expr) : Value.t =
     obj
   | Ast.Func_lit (params, body) ->
     Value.Fun (add_closure t { c_params = params; c_body = body; c_scope = scope })
-  | Ast.Unary ("!", e) -> Value.Bool (not (Value.truthy (eval t scope e)))
+  | Ast.Unary ("!", e) -> Value.of_bool (not (Value.truthy (eval t scope e)))
   | Ast.Unary ("-", e) -> Value.Num (-.to_num t (eval t scope e))
   | Ast.Unary ("~", e) -> Value.Num (of_i32 (lnot (to_i32 t (eval t scope e))))
   | Ast.Unary (op, _) -> fail "unknown unary operator %s" op
@@ -765,7 +834,7 @@ and eval t scope (e : Ast.expr) : Value.t =
       if op = "=" then v
       else
         let old = eval t scope lhs in
-        binary t (String.sub op 0 1) old v
+        binary t (compound_op op) old v
     in
     store t scope lhs v;
     v
@@ -781,14 +850,14 @@ and eval t scope (e : Ast.expr) : Value.t =
     | v -> fail "cannot index %s" (Value.type_name v))
   | Ast.Member (e, name) -> member t (eval t scope e) name
   | Ast.Method_call (Ast.Ident "Math", name, args) ->
-    math_call t name (List.map (eval t scope) args)
+    math_call t name (eval_args t scope args)
   | Ast.Method_call (Ast.Ident "JSON", name, args) ->
-    json_ns_call t name (List.map (eval t scope) args)
+    json_ns_call t name (eval_args t scope args)
   | Ast.Method_call (Ast.Ident "String", name, args) ->
-    string_ns_call t name (List.map (eval t scope) args)
+    string_ns_call t name (eval_args t scope args)
   | Ast.Method_call (recv, name, args) ->
     let recv = eval t scope recv in
-    let args = List.map (eval t scope) args in
+    let args = eval_args t scope args in
     charge t 3;
     method_call t recv name args
   | Ast.Call (Ast.Ident "parseInt", [ arg ]) ->
@@ -796,7 +865,7 @@ and eval t scope (e : Ast.expr) : Value.t =
     Value.Num (Float.trunc f)
   | Ast.Call (Ast.Ident "parseFloat", [ arg ]) -> Value.Num (to_num t (eval t scope arg))
   | Ast.Call (Ast.Ident "isNaN", [ arg ]) ->
-    Value.Bool (Float.is_nan (to_num t (eval t scope arg)))
+    Value.of_bool (Float.is_nan (to_num t (eval t scope arg)))
   | Ast.Call (Ast.Ident "Number", [ arg ]) -> Value.Num (to_num t (eval t scope arg))
   | Ast.Call (Ast.Ident "typeof", [ arg ]) ->
     Value.str_of_string t.heap (Value.type_name (eval t scope arg))
@@ -808,8 +877,15 @@ and eval t scope (e : Ast.expr) : Value.t =
     Value.arr_make t.heap (to_int t (eval t scope n))
   | Ast.Call (callee, args) ->
     let callee = eval t scope callee in
-    let args = List.map (eval t scope) args in
+    let args = eval_args t scope args in
     call_value t callee args
+
+(* Left to right, as [List.map] would, without its per-call closure. *)
+and eval_args t scope = function
+  | [] -> []
+  | a :: rest ->
+    let v = eval t scope a in
+    v :: eval_args t scope rest
 
 and binary t op a b =
   charge t 1;
@@ -828,18 +904,18 @@ and binary t op a b =
   | "^" -> Value.Num (of_i32 (to_i32 t a lxor to_i32 t b))
   | "<<" -> Value.Num (of_i32 (to_i32 t a lsl (to_i32 t b land 31)))
   | ">>" -> Value.Num (of_i32 (to_i32 t a asr (to_i32 t b land 31)))
-  | "==" -> Value.Bool (Value.equals t.heap a b)
-  | "!=" -> Value.Bool (not (Value.equals t.heap a b))
-  | "<" -> Value.Bool (to_num t a < to_num t b)
-  | "<=" -> Value.Bool (to_num t a <= to_num t b)
-  | ">" -> Value.Bool (to_num t a > to_num t b)
-  | ">=" -> Value.Bool (to_num t a >= to_num t b)
+  | "==" -> Value.of_bool (Value.equals t.heap a b)
+  | "!=" -> Value.of_bool (not (Value.equals t.heap a b))
+  | "<" -> Value.of_bool (to_num t a < to_num t b)
+  | "<=" -> Value.of_bool (to_num t a <= to_num t b)
+  | ">" -> Value.of_bool (to_num t a > to_num t b)
+  | ">=" -> Value.of_bool (to_num t a >= to_num t b)
   | op -> fail "unknown operator %s" op
 
 and store t scope lhs v =
   match lhs with
   | Ast.Ident name ->
-    if not (assign_existing t scope name v) then declare t.globals name v
+    if not (assign_existing scope name v) then declare t.globals name v
   | Ast.Index (a, i) ->
     (match eval t scope a with
     | Value.Arr arr ->
@@ -876,7 +952,7 @@ and exec_stmt t scope (s : Ast.stmt) =
        done
      with Break_exc -> ())
   | Ast.For (init, cond, step, body) ->
-    let loop_scope = { vars = Hashtbl.create 4; decls = 0; parent = Some scope; origin = 0; slots = no_slots } in
+    let loop_scope = make_scope ~size:4 (Some scope) in
     (match init with
     | Some s -> exec_stmt t loop_scope s
     | None -> ());
@@ -902,11 +978,32 @@ and exec_stmt t scope (s : Ast.stmt) =
   | Ast.Break -> raise Break_exc
   | Ast.Continue -> raise Continue_exc
   | Ast.Block body ->
-    exec_stmts t { vars = Hashtbl.create 4; decls = 0; parent = Some scope; origin = 0; slots = no_slots } body
+    exec_stmts t (make_scope ~size:4 (Some scope)) body
 
-and exec_stmts t scope stmts = List.iter (exec_stmt t scope) stmts
+and exec_stmts t scope = function
+  | [] -> ()
+  | s :: rest ->
+    exec_stmt t scope s;
+    exec_stmts t scope rest
 
 (* --- Garbage collection (see the interface for the safety contract) --- *)
+
+(* The positions of [scope]'s bindings in the order [gc] marks them: by
+   bucket [Hashtbl.hash name land (b - 1)], newest first within a bucket,
+   where [b] starts at [buckets] and doubles while there are more than two
+   bindings per bucket.  This is the iteration order of an OCaml [Hashtbl]
+   of that initial size filled in declaration order; marking reads array
+   slots through the machine, so the order is part of the simulated
+   access stream and stays fixed. *)
+let mark_order scope ~buckets =
+  let b = ref buckets in
+  while scope.decls > 2 * !b do
+    b := 2 * !b
+  done;
+  let bucket i = Hashtbl.hash scope.names.(i) land (!b - 1) in
+  List.sort
+    (fun i j -> if bucket i <> bucket j then compare (bucket i) (bucket j) else compare j i)
+    (List.init scope.decls Fun.id)
 
 let gc t =
   let live = Hashtbl.create 256 in
@@ -936,7 +1033,9 @@ let gc t =
   and mark_scope scope =
     if not (List.memq scope !seen_scopes) then begin
       seen_scopes := scope :: !seen_scopes;
-      Hashtbl.iter (fun _ r -> mark_value !r) scope.vars;
+      List.iter
+        (fun i -> mark_value !(scope.cells.(i)))
+        (mark_order scope ~buckets:(if scope == t.globals then 64 else 16));
       match scope.parent with
       | Some parent -> mark_scope parent
       | None -> ()
@@ -963,17 +1062,14 @@ let call_function t f args = call_value t f args
 
 let globals_scope t = t.globals
 
-let new_scope ?(origin = 0) ~parent () =
-  { vars = Hashtbl.create 8; decls = 0; parent = Some parent; origin; slots = no_slots }
+let new_scope ?origin ~parent () = make_scope ~size:8 ?origin (Some parent)
 
 let scope_declare scope name v = declare scope name v
 
 let scope_lookup t scope name = lookup t scope name
 
 let scope_assign t scope name v =
-  if not (assign_existing t scope name v) then declare t.globals name v
-
-let host_exists t name = Hashtbl.mem t.hosts name
+  if not (assign_existing scope name v) then declare t.globals name v
 
 let binary_op t op a b = binary t op a b
 
@@ -1031,27 +1127,27 @@ let binary_fn op : t -> Value.t -> Value.t -> Value.t =
   | "==" ->
     fun t a b ->
       charge t 1;
-      Value.Bool (Value.equals t.heap a b)
+      Value.of_bool (Value.equals t.heap a b)
   | "!=" ->
     fun t a b ->
       charge t 1;
-      Value.Bool (not (Value.equals t.heap a b))
+      Value.of_bool (not (Value.equals t.heap a b))
   | "<" ->
     fun t a b ->
       charge t 1;
-      Value.Bool (to_num t a < to_num t b)
+      Value.of_bool (to_num t a < to_num t b)
   | "<=" ->
     fun t a b ->
       charge t 1;
-      Value.Bool (to_num t a <= to_num t b)
+      Value.of_bool (to_num t a <= to_num t b)
   | ">" ->
     fun t a b ->
       charge t 1;
-      Value.Bool (to_num t a > to_num t b)
+      Value.of_bool (to_num t a > to_num t b)
   | ">=" ->
     fun t a b ->
       charge t 1;
-      Value.Bool (to_num t a >= to_num t b)
+      Value.of_bool (to_num t a >= to_num t b)
   | op ->
     fun t _ _ ->
       charge t 1;
@@ -1061,7 +1157,7 @@ let truthy_value = Value.truthy
 
 let unary_op t op v =
   match op with
-  | "!" -> Value.Bool (not (Value.truthy v))
+  | "!" -> Value.of_bool (not (Value.truthy v))
   | "-" -> Value.Num (-.to_num t v)
   | "~" -> Value.Num (of_i32 (lnot (to_i32 t v)))
   | op -> fail "unknown unary operator %s" op

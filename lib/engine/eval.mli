@@ -65,14 +65,14 @@ val fresh_origin : t -> int
 val scope_declare : scope -> string -> Value.t -> unit
 (** [var name = v] in this scope. *)
 
-val scope_lookup : t -> scope -> string -> Value.t option
-(** Walks the scope chain (charging the same lookup cost). *)
+val scope_lookup : t -> scope -> string -> Value.t
+(** Walks the scope chain (charging the same lookup cost); a name bound
+    nowhere resolves to its host function.
+    @raise Script_error when there is none. *)
 
 val scope_assign : t -> scope -> string -> Value.t -> unit
 (** Assignment: updates the innermost binding, or creates a global (the
     language's fallback, as in the AST tier). *)
-
-val host_exists : t -> string -> bool
 
 (* {2 Variable inline caches}
 
@@ -94,7 +94,7 @@ type var_site
 val var_site : string -> var_site
 (** A fresh (empty) per-call-site cache for [name]. *)
 
-val cached_lookup : t -> scope -> var_site -> Value.t option
+val cached_lookup : t -> scope -> var_site -> Value.t
 (** Same observable behaviour and charges as {!scope_lookup}. *)
 
 val cached_assign : t -> scope -> var_site -> Value.t -> bool

@@ -161,12 +161,7 @@ let rec compile_ops tvm (code : Bytecode.instr array) : op array =
      the site's inline-cache state, so call once per compiled site. *)
   let make_load name : frame -> Value.t =
     let site = Eval.var_site name in
-    fun fr ->
-      match Eval.cached_lookup t (cur fr) site with
-      | Some v -> v
-      | None ->
-        if Eval.host_exists t name then Value.Host name
-        else Eval.fail "undefined variable %s" name
+    fun fr -> Eval.cached_lookup t (cur fr) site
   in
   let make_store name : frame -> Value.t -> unit =
     let site = Eval.var_site name in

@@ -105,15 +105,26 @@ let box_ref h v =
   h.nboxed <- h.nboxed + 1;
   h.nboxed - 1
 
-let box_bits h v =
-  match v with
-  | Num f -> if Float.is_nan f then canonical_nan else Int64.bits_of_float f
-  | Null -> with_tag tag_imm 0
-  | Bool false -> with_tag tag_imm 1
-  | Bool true -> with_tag tag_imm 2
-  | Str _ | Arr _ | Obj _ | Fun _ | Host _ | Handle _ -> with_tag tag_ref (box_ref h v)
+(* Slots move as floats: a number is stored as its own float and read
+   back as the float [read_f64] returned, and the three immediates and the
+   canonical NaN are pre-boxed patterns, so only a number read allocates
+   (its [Num]). *)
+let nan_slot = Int64.float_of_bits canonical_nan
+let null_slot = Int64.float_of_bits (with_tag tag_imm 0)
+let false_slot = Int64.float_of_bits (with_tag tag_imm 1)
+let true_slot = Int64.float_of_bits (with_tag tag_imm 2)
 
-let unbox_bits h bits =
+let slot_float h v =
+  match v with
+  | Num f -> if Float.is_nan f then nan_slot else f
+  | Null -> null_slot
+  | Bool false -> false_slot
+  | Bool true -> true_slot
+  | Str _ | Arr _ | Obj _ | Fun _ | Host _ | Handle _ ->
+    Int64.float_of_bits (with_tag tag_ref (box_ref h v))
+
+(* [bits] is [f]'s pattern; a number comes back as [f] itself. *)
+let[@inline] decode h bits f =
   let tag = tag_of bits in
   if tag = tag_ref then h.boxed.(payload_of bits)
   else if tag = tag_imm then
@@ -121,15 +132,15 @@ let unbox_bits h bits =
     | 0 -> Null
     | 1 -> Bool false
     | _ -> Bool true
-  else Num (Int64.float_of_bits bits)
+  else Num f
 
-let box = box_bits
-let unbox = unbox_bits
+let box h v = Int64.bits_of_float (slot_float h v)
+let unbox h bits = decode h bits (Int64.float_of_bits bits)
+let write_slot h addr v = Sim.Machine.write_f64 h.machine addr (slot_float h v)
 
-let write_slot h addr v =
-  Sim.Machine.write_f64 h.machine addr (Int64.float_of_bits (box_bits h v))
-
-let read_slot h addr = unbox_bits h (Int64.bits_of_float (Sim.Machine.read_f64 h.machine addr))
+let read_slot h addr =
+  let f = Sim.Machine.read_f64 h.machine addr in
+  decode h (Int64.bits_of_float f) f
 
 (* --- Strings --- *)
 
@@ -320,6 +331,10 @@ let obj_iter f (o : obj) =
   done
 
 (* --- Misc --- *)
+
+(* The two booleans are shared constants: a comparison result allocates
+   nothing. *)
+let of_bool b = if b then Bool true else Bool false
 
 let truthy = function
   | Null -> false

@@ -133,6 +133,9 @@ val unbox : heap -> int64 -> t
 
 (* {2 Misc} *)
 
+val of_bool : bool -> t
+(** [Bool b] without allocating: both booleans are shared constants. *)
+
 val truthy : t -> bool
 val type_name : t -> string
 

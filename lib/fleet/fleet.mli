@@ -107,7 +107,9 @@ val run :
     is comparable bit-for-bit with a solo runner trace of its job,
     whatever the session count, CPU count or interleaving.  The trace is
     returned in the session's [sr_trace] and retained for the whole run,
-    so telemetry-mode host memory grows with [sessions].
+    so telemetry-mode host memory grows with [sessions] and with the
+    events each records (a trace's rings grow on demand: about 2 KB for
+    a session that records a handful of events).
 
     @raise Invalid_argument on nonsensical parameters. *)
 

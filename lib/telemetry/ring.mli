@@ -2,15 +2,19 @@
 
     The trace buffer must never grow with run length — a multi-second
     simulated run emits millions of events — so the ring keeps the most
-    recent [capacity] entries and counts what it discarded. *)
+    recent [capacity] entries and counts what it discarded.  Its storage
+    grows on demand, doubling up to [capacity], so a ring that records a
+    few events (a fleet session's trace) costs a few words, not
+    [capacity]. *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
-(** @raise Invalid_argument when [capacity <= 0]. *)
+(** Allocates no storage until the first {!push}.
+    @raise Invalid_argument when [capacity <= 0]. *)
 
 val push : 'a t -> 'a -> unit
-(** O(1); evicts the oldest element when full. *)
+(** Amortised O(1); evicts the oldest element when full. *)
 
 val length : 'a t -> int
 val capacity : 'a t -> int
@@ -22,4 +26,7 @@ val to_list : 'a t -> 'a list
 (** Live elements, oldest first. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
+(** Live elements, oldest first, without building a list. *)
+
 val clear : 'a t -> unit
+(** Empties the ring and releases its storage. *)

@@ -7,21 +7,27 @@
    - simulated cycles and gate transitions are deterministic, so ANY
      drift against the baseline is a real behavioural change (a perf
      regression or an unacknowledged improvement) and is flagged exactly;
-   - host wall-clock is machine-dependent, so it only warns, and only
-     past a generous tolerance factor.
+   - the OCaml minor-heap words a probe allocates are the host-cost proxy:
+     deterministic for one compiler, so any increase is flagged exactly
+     and a decrease asks for a re-pin.  A different compiler allocates
+     differently, so they are compared only when the baseline's OCaml
+     version is the running one.
 
-   The baseline file is schema-versioned and stamped with the commit that
-   produced it, so `bench --compare` output can always say what it was
-   diffed against. *)
+   Host wall-clock is not compared: the probes run for about a
+   millisecond, far below what the host's noise lets a ratio resolve.
 
-let schema_version = "pkru-safe.bench-baseline/1"
+   The baseline file is schema-versioned and stamped with the commit and
+   the OCaml version that produced it, so `bench --compare` output can
+   always say what it was diffed against. *)
+
+let schema_version = "pkru-safe.bench-baseline/2"
 
 type probe_result = {
   p_name : string;
   p_tier : string;
   p_cycles : int;
   p_transitions : int;
-  p_wall_s : float;
+  p_minor_words : int;
 }
 
 (* --- the probe set --- *)
@@ -147,18 +153,18 @@ let run_probe p =
   let profile =
     Runner.profile_suite { Bench_def.suite_name = "sentinel"; benches = [ p.bench ] }
   in
-  let t0 = Unix.gettimeofday () in
+  let w0 = Gc.minor_words () in
   let m =
     Runner.run_config ?mitigation:p.mitigation ?census_every:p.census_every
       ~engine_tier:p.tier ~mode:p.mode ~profile p.bench
   in
-  let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
   {
     p_name = p.name;
     p_tier = tier_name p.tier;
     p_cycles = m.Runner.cycles;
     p_transitions = m.Runner.transitions;
-    p_wall_s = wall;
+    p_minor_words = int_of_float words;
   }
 
 let run_probes () = List.map run_probe probes
@@ -186,7 +192,7 @@ let result_to_json r =
       ("tier", String r.p_tier);
       ("cycles", Int r.p_cycles);
       ("transitions", Int r.p_transitions);
-      ("wall_s", Float r.p_wall_s);
+      ("minor_words", Int r.p_minor_words);
     ]
 
 let result_of_json j =
@@ -199,16 +205,30 @@ let result_of_json j =
       | _ | (exception Not_found) -> "ast" (* pre-tier baselines *));
     p_cycles = to_int (member "cycles" j);
     p_transitions = to_int (member "transitions" j);
-    p_wall_s = to_float (member "wall_s" j);
+    p_minor_words = to_int (member "minor_words" j);
   }
 
-let baseline_json ?commit results =
+type baseline = {
+  b_commit : string;
+  b_ocaml : string;
+  b_probes : probe_result list;
+}
+
+let baseline ?commit probes =
+  {
+    b_commit = (match commit with Some c -> c | None -> commit_hash ());
+    b_ocaml = Sys.ocaml_version;
+    b_probes = probes;
+  }
+
+let baseline_to_json b =
   let open Util.Json in
   Obj
     [
       ("schema", String schema_version);
-      ("commit", String (match commit with Some c -> c | None -> commit_hash ()));
-      ("probes", List (List.map result_to_json results));
+      ("commit", String b.b_commit);
+      ("ocaml", String b.b_ocaml);
+      ("probes", List (List.map result_to_json b.b_probes));
     ]
 
 let baseline_of_json j =
@@ -220,48 +240,50 @@ let baseline_of_json j =
       (Printf.sprintf "Sentinel: baseline schema %S, this build expects %S" s schema_version)
   | _ -> invalid_arg "Sentinel: baseline has no schema field"
   | exception Not_found -> invalid_arg "Sentinel: baseline has no schema field");
-  let commit =
-    match member "commit" j with String s -> s | _ | (exception Not_found) -> "unknown"
+  let field name =
+    match member name j with String s -> s | _ | (exception Not_found) -> "unknown"
   in
-  (commit, List.map result_of_json (to_list (member "probes" j)))
+  {
+    b_commit = field "commit";
+    b_ocaml = field "ocaml";
+    b_probes = List.map result_of_json (to_list (member "probes" j));
+  }
+
+let minor_words_compared b = b.b_ocaml = Sys.ocaml_version
 
 (* --- comparison --- *)
 
 type verdict =
   | Match
   | Cycle_drift of { base_cycles : int; base_transitions : int }
-  | Wall_slow of { base_wall_s : float; ratio : float }
+  | Minor_words_up of { base_minor_words : int }
+  | Minor_words_down of { base_minor_words : int }
   | Missing_in_baseline
   | Missing_in_run
 
 let is_regression = function
-  | Cycle_drift _ | Missing_in_run -> true
-  | Match | Wall_slow _ | Missing_in_baseline -> false
+  | Cycle_drift _ | Minor_words_up _ | Missing_in_run -> true
+  | Match | Minor_words_down _ | Missing_in_baseline -> false
 
 let is_warning = function
-  | Wall_slow _ | Missing_in_baseline -> true
-  | Match | Cycle_drift _ | Missing_in_run -> false
+  | Minor_words_down _ | Missing_in_baseline -> true
+  | Match | Cycle_drift _ | Minor_words_up _ | Missing_in_run -> false
 
-let default_wall_tolerance = 2.5
-
-let compare_results ?(wall_tolerance = default_wall_tolerance) ~baseline fresh =
+let compare_results ~baseline fresh =
+  let words = minor_words_compared baseline in
   let verdict_for (b : probe_result) (f : probe_result) =
     if b.p_cycles <> f.p_cycles || b.p_transitions <> f.p_transitions then
       Cycle_drift { base_cycles = b.p_cycles; base_transitions = b.p_transitions }
-    else begin
-      (* Guard against a zero/garbage baseline wall time, and require an
-         absolute slowdown too: the probes take ~1ms, where a ratio alone
-         would warn on scheduler noise. *)
-      let ratio = if b.p_wall_s > 1e-9 then f.p_wall_s /. b.p_wall_s else 1.0 in
-      if ratio > wall_tolerance && f.p_wall_s -. b.p_wall_s > 0.05 then
-        Wall_slow { base_wall_s = b.p_wall_s; ratio }
-      else Match
-    end
+    else if words && f.p_minor_words > b.p_minor_words then
+      Minor_words_up { base_minor_words = b.p_minor_words }
+    else if words && f.p_minor_words < b.p_minor_words then
+      Minor_words_down { base_minor_words = b.p_minor_words }
+    else Match
   in
   let fresh_verdicts =
     List.map
       (fun (f : probe_result) ->
-        match List.find_opt (fun (b : probe_result) -> b.p_name = f.p_name) baseline with
+        match List.find_opt (fun (b : probe_result) -> b.p_name = f.p_name) baseline.b_probes with
         | None -> (f.p_name, f, Missing_in_baseline)
         | Some b -> (f.p_name, f, verdict_for b f))
       fresh
@@ -271,31 +293,39 @@ let compare_results ?(wall_tolerance = default_wall_tolerance) ~baseline fresh =
       (fun (b : probe_result) ->
         if List.exists (fun (f : probe_result) -> f.p_name = b.p_name) fresh then None
         else Some (b.p_name, b, Missing_in_run))
-      baseline
+      baseline.b_probes
   in
   fresh_verdicts @ missing
 
-let render_comparison ~commit verdicts =
+let render_comparison ~baseline verdicts =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "bench --compare against baseline %s\n" commit);
+  Buffer.add_string buf (Printf.sprintf "bench --compare against baseline %s\n" baseline.b_commit);
+  if not (minor_words_compared baseline) then
+    Buffer.add_string buf
+      (Printf.sprintf
+         "  minor words not compared: baseline built with OCaml %s, this build with %s\n"
+         baseline.b_ocaml Sys.ocaml_version);
   List.iter
     (fun (name, (r : probe_result), verdict) ->
       let line =
         match verdict with
         | Match ->
-          Printf.sprintf "  ok    %-22s %10d cycles  %5d transitions  %.3fs" name r.p_cycles
-            r.p_transitions r.p_wall_s
+          Printf.sprintf "  ok    %-22s %10d cycles  %5d transitions  %9d minor words" name
+            r.p_cycles r.p_transitions r.p_minor_words
         | Cycle_drift { base_cycles; base_transitions } ->
           Printf.sprintf
             "  DRIFT %-22s cycles %d -> %d (%+d), transitions %d -> %d — deterministic \
              simulation changed"
             name base_cycles r.p_cycles (r.p_cycles - base_cycles) base_transitions
             r.p_transitions
-        | Wall_slow { base_wall_s; ratio } ->
+        | Minor_words_up { base_minor_words } ->
+          Printf.sprintf "  DRIFT %-22s minor words %d -> %d (%+d) — the host allocates more"
+            name base_minor_words r.p_minor_words (r.p_minor_words - base_minor_words)
+        | Minor_words_down { base_minor_words } ->
           Printf.sprintf
-            "  warn  %-22s host wall %.3fs vs baseline %.3fs (%.1fx > tolerance) — \
-             machine-dependent, not gating"
-            name r.p_wall_s base_wall_s ratio
+            "  re-pin %-21s minor words %d -> %d (%+d) — lower than the baseline; re-pin \
+             with --baseline-out"
+            name base_minor_words r.p_minor_words (r.p_minor_words - base_minor_words)
         | Missing_in_baseline ->
           Printf.sprintf "  warn  %-22s not in baseline (new probe?) — re-generate with \
                           --baseline-out" name

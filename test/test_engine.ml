@@ -600,6 +600,39 @@ cyclic_array.push(cyclic_array);
   let freed = Engine.collect e in
   Alcotest.(check bool) (Printf.sprintf "cycle reclaimed (%d)" freed) true (freed >= 3)
 
+(* Marking reads array slots through the machine, so the order [gc] visits
+   bindings in is part of the simulated access stream.  The 80 global
+   arrays span more pages than the direct-mapped TLB has entries, so a
+   different visiting order changes the TLB's miss count (though not the
+   cycles): the collection's cycles and TLB hits and misses are pinned. *)
+let test_gc_access_order_pinned () =
+  let e = fresh_engine () in
+  let buf = Buffer.create 4096 in
+  for i = 0 to 79 do
+    Buffer.add_string buf
+      (Printf.sprintf "var g%d = __new_array(%d);\n" i (1536 + (i * 97 mod 1024)))
+  done;
+  Buffer.add_string buf
+    {|
+var mk = function (n) {
+  var a = [n]; var b = [n, n]; var c = {p: [1, 2, 3]};
+  return function () { return a[0] + b[1] + c.p[2]; };
+};
+var f1 = mk(1); var f2 = mk(2); f1 = null;
+|};
+  ignore (Engine.eval_string e (Buffer.contents buf));
+  let m = Pkru_safe.Env.machine (Engine.env e) in
+  let c0 = Sim.Machine.cycles m and tlb0 = Sim.Machine.tlb_stats m in
+  let freed = Engine.collect e in
+  let tlb1 = Sim.Machine.tlb_stats m in
+  Alcotest.(check (list int)) "freed, cycles, TLB hits, TLB misses" [ 5; 648762; 162189; 139 ]
+    [
+      freed;
+      Sim.Machine.cycles m - c0;
+      tlb1.Sim.Tlb.hits - tlb0.Sim.Tlb.hits;
+      tlb1.Sim.Tlb.misses - tlb0.Sim.Tlb.misses;
+    ]
+
 let test_gc_never_frees_foreign_buffers () =
   (* Strings handed to the engine by the browser are not engine-owned:
      collection must leave them alone even when unreachable. *)
@@ -615,8 +648,36 @@ let test_gc_never_frees_foreign_buffers () =
   ignore (Browser.exec_script b {|print(domGetAttribute(domQueryTag("div")[0], "data"));|});
   Alcotest.(check (list string)) "attribute intact" [ "browser-owned" ] (Browser.console b)
 
+(* Host allocation per loop iteration, from the difference between two
+   loop lengths (the fixed cost of engine creation, parsing and scope set-up
+   cancels).  Minor-heap words are deterministic for a given compiler, so
+   these are hard ceilings, not timings. *)
+let words_per_iteration tier =
+  let run n =
+    let e = fresh_engine () in
+    let src =
+      Printf.sprintf "var s = 0; for (var i = 0; i < %d; i = i + 1) { s = s + i * 2; }" n
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Engine.eval_string ~tier e src);
+    Gc.minor_words () -. w0
+  in
+  let small = run 1_000 and large = run 2_000 in
+  (large -. small) /. 1_000.
+
+let test_loop_allocation () =
+  (* AST: three [Num] results (4 words each) and the three numeric
+     literals' [Num] blocks (2 words each, sharing the AST's float). *)
+  let ast = words_per_iteration Engine.Ast_tier in
+  Alcotest.(check bool) (Printf.sprintf "ast words/iteration %.1f <= 18" ast) true (ast <= 18.);
+  let threaded = words_per_iteration Engine.Threaded_tier in
+  Alcotest.(check bool)
+    (Printf.sprintf "threaded words/iteration %.1f <= 60" threaded)
+    true (threaded <= 60.)
+
 let suite =
   [
+    Alcotest.test_case "loop allocation ceiling" `Quick test_loop_allocation;
     Alcotest.test_case "lexer tokens" `Quick test_lexer_tokens;
     Alcotest.test_case "lexer line numbers" `Quick test_lexer_line_numbers;
     Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
@@ -644,4 +705,5 @@ let suite =
     Alcotest.test_case "gc reclaims garbage" `Quick test_gc_reclaims_garbage;
     Alcotest.test_case "gc handles cycles" `Quick test_gc_handles_cycles;
     Alcotest.test_case "gc spares foreign buffers" `Quick test_gc_never_frees_foreign_buffers;
+    Alcotest.test_case "gc access order pinned" `Quick test_gc_access_order_pinned;
   ]

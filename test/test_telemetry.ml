@@ -62,6 +62,47 @@ let test_ring_partial_fill () =
     (Telemetry.Ring.to_list ring);
   Alcotest.(check int) "nothing dropped" 0 (Telemetry.Ring.dropped ring)
 
+(* The ring against a model that keeps the last [capacity] pushes:
+   capacities up to 40 cross the storage's growth steps (8, 16, 32), and a
+   [clear] may land anywhere in the stream.  After every operation the
+   contents (through [to_list] and [iter]), length and dropped count
+   agree with the model. *)
+let prop_ring_model =
+  let op = QCheck.(option (int_bound 1000)) (* [None] is a clear *) in
+  QCheck.Test.make ~count:300 ~name:"ring matches a last-capacity list model"
+    QCheck.(pair (int_range 1 40) (list_of_size Gen.(int_bound 150) op))
+    (fun (capacity, ops) ->
+      let ring = Telemetry.Ring.create ~capacity in
+      let model = ref [] (* newest first, at most [capacity] *) and dropped = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | None ->
+            Telemetry.Ring.clear ring;
+            model := [];
+            dropped := 0
+          | Some v ->
+            Telemetry.Ring.push ring v;
+            if List.length !model = capacity then begin
+              model := List.filteri (fun i _ -> i < capacity - 1) !model;
+              incr dropped
+            end;
+            model := v :: !model);
+          let expected = List.rev !model in
+          let walked = ref [] in
+          Telemetry.Ring.iter ring (fun v -> walked := v :: !walked);
+          Telemetry.Ring.to_list ring = expected
+          && List.rev !walked = expected
+          && Telemetry.Ring.length ring = List.length expected
+          && Telemetry.Ring.dropped ring = !dropped)
+        ops)
+
+(* A fresh sink holds no event storage: its rings grow on demand. *)
+let test_fresh_sink_is_small () =
+  let words = Obj.reachable_words (Obj.repr (Telemetry.Sink.create ())) in
+  Alcotest.(check bool) (Printf.sprintf "fresh sink holds %d words <= 1000" words) true
+    (words <= 1000)
+
 let test_sink_ring_eviction () =
   let sink = Telemetry.Sink.create ~capacity:3 () in
   for i = 1 to 5 do
@@ -457,6 +498,8 @@ let suite =
     Alcotest.test_case "gate events match on workload" `Quick test_gate_events_match_on_workload;
     Alcotest.test_case "ring drops oldest first" `Quick test_ring_drops_oldest_first;
     Alcotest.test_case "ring partial fill" `Quick test_ring_partial_fill;
+    QCheck_alcotest.to_alcotest prop_ring_model;
+    Alcotest.test_case "fresh sink is small" `Quick test_fresh_sink_is_small;
     Alcotest.test_case "sink ring eviction" `Quick test_sink_ring_eviction;
     Alcotest.test_case "disabled sink identical measurements" `Quick
       test_disabled_sink_identical_measurements;
